@@ -18,10 +18,11 @@ from .cocycles import (CoboundaryWitness, Cocycle, bilinear_cocycle,
                        load_cocycle, normalize_cocycle, random_coboundary_twist,
                        save_cocycle, similarity_apply, trivial_cocycle,
                        unify_root_orders, validate_cocycle)
-from .errors import (CocycleViolation, DegenerateState, DimensionMismatch,
-                     GroupMismatch, InvalidTable, MissingCoefficients,
-                     NotCyclicProduct, NotHermitian, NotPositiveDefinite,
-                     SolverFailure, TwistaError, UnsupportedSize, ZeroVector)
+from .errors import (CertificateError, CocycleViolation, DegenerateState,
+                     DimensionMismatch, GroupMismatch, InvalidTable,
+                     MissingCoefficients, NotCyclicProduct, NotHermitian,
+                     NotPositiveDefinite, SolverFailure, TwistaError,
+                     UnsupportedSize, ZeroVector)
 from .sdp import Gamma2Problem, SDPSolution, gamma2
 from .groups import (FiniteGroup, ValidationReport, build_group, cyclic,
                      cyclic_product, dihedral, direct_product, element_order,
@@ -30,8 +31,8 @@ from .groups import (FiniteGroup, ValidationReport, build_group, cyclic,
 from .linalg import eig_hermitian, operator_norm, trace_norm
 from .littlewood import T2Split, max_col_l2, max_row_l2, t2_split
 from .norms import (AmenabilityReport, FourierStieltjesCertificate,
-                    LittlewoodCertificate, MultiplierCertificate,
-                    amenability_report, amplified_fs_norm, cb_multiplier_norm,
+                    MultiplierCertificate, amenability_report,
+                    amplified_fs_norm, cb_multiplier_norm,
                     fourier_stieltjes_norm, littlewood_T2_norm,
                     littlewood_norm, multiplier_apply, schur_action_norm,
                     schur_symbol)

@@ -16,7 +16,7 @@ import numpy as np
 from . import groups as grp
 from .cocycles import Cocycle
 from .errors import GroupMismatch, MissingCoefficients
-from .groups import FiniteGroup
+from .groups import FiniteGroup, same_group
 
 SPAN_RESIDUAL_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-12
@@ -50,14 +50,6 @@ def delta(group: FiniteGroup, s: int) -> GroupFunction:
     return GroupFunction(group, v)
 
 
-def same_group(*objs):
-    g0 = objs[0].group
-    for o in objs[1:]:
-        if o.group is not g0 and o.group != g0:
-            raise GroupMismatch("operands live on different groups")
-    return g0
-
-
 def twisted_convolve(f: GroupFunction, g: GroupFunction, sigma: Cocycle) -> GroupFunction:
     """(f *_sigma g)(s) = sum_t f(t) sigma(t, t^-1 s) g(t^-1 s)."""
     G = same_group(f, g, sigma)
@@ -73,12 +65,6 @@ def twisted_involution(f: GroupFunction, sigma: Cocycle) -> GroupFunction:
     idx = np.arange(G.order)
     phase = np.conj(sigma.values[idx, G.inv])
     return GroupFunction(G, phase * np.conj(f.values[G.inv]))
-
-
-def sigma_tilde(f: GroupFunction, sigma: Cocycle) -> GroupFunction:
-    """f~(t) = conj(sigma(t, t^-1)) conj(f(t^-1)); equals the involution for
-    counting measure."""
-    return twisted_involution(f, sigma)
 
 
 def regular_rep(sigma: Cocycle, s: int) -> np.ndarray:
@@ -232,47 +218,39 @@ def central_extension(sigma: Cocycle) -> CentralExtension:
     k = np.arange(size) % m
     mul = (base.mul[np.ix_(s, s)] * m
            + (k[:, None] + k[None, :] + sigma.exponents[np.ix_(s, s)]) % m)
-    report = grp.validate_table(mul)
-    assert report.ok, f"central extension table invalid: {report.violations}"
-    inv = np.empty(size, dtype=np.int64)
-    for x in range(size):
-        inv[x] = np.flatnonzero(mul[x] == 0)[0]
-    ext = FiniteGroup(order=size, mul=mul, inv=inv)
-    return CentralExtension(base=base, m=m, sigma=sigma, ext=ext)
+    return CentralExtension(base=base, m=m, sigma=sigma, ext=grp.from_table(mul))
 
 
 def comultiply(T: TwistedOperator) -> np.ndarray:
-    """Matrix of lambda_sigma(s) -> lambda_sigma(s) (x) lambda(s) applied to T."""
+    """Matrix of lambda_sigma(s) -> lambda_sigma(s) (x) lambda(s) applied to T.
+
+    Column (u, v) holds c_s sigma(s, u) at row (su, sv) for every s, and is
+    zero elsewhere; distinct s give distinct rows, so one assignment writes
+    all n^3 nonzero entries.
+    """
     if T.coeffs is None:
         raise MissingCoefficients("comultiplication needs generator coefficients")
-    sigma = T.cocycle
     G = T.group
-    from .cocycles import trivial_cocycle
-
-    lam_t = regular_rep_tensor(sigma)
-    lam_plain = regular_rep_tensor(trivial_cocycle(G))
     n = G.order
+    u = np.arange(n)
     out = np.zeros((n * n, n * n), dtype=complex)
-    for s in range(n):
-        out += T.coeffs[s] * np.kron(lam_t[s], lam_plain[s])
+    out[G.mul[:, :, None] * n + G.mul[:, None, :], u[:, None] * n + u] = (
+        T.coeffs[:, None, None] * T.cocycle.values[:, :, None])
     return out
 
 
 def tensor_coefficients(M: np.ndarray, sigma: Cocycle) -> np.ndarray:
-    """c[s, t] with M = sum c_{s,t} lambda_sigma(s) (x) lambda(t)."""
+    """c[s, t] with M = sum c_{s,t} lambda_sigma(s) (x) lambda(t).
+
+    c[s, t] = sum_{u,v} conj(sigma(s, u)) M[(su, tv), (u, v)] / n^2; the sum
+    over v does not involve s, so it is taken first: R[t, a, u] is the sum
+    over v of M[(a, tv), (u, v)].
+    """
     G = sigma.group
     n = G.order
-    M4 = M.reshape(n, n, n, n)  # [a, b, c, d] = M[(a,b), (c,d)]
-    out = np.empty((n, n), dtype=complex)
-    cols = np.arange(n)
-    for s in range(n):
-        rows_s = G.mul[s, cols]
-        phase_s = np.conj(sigma.values[s, cols])
-        for t in range(n):
-            rows_t = G.mul[t, cols]
-            block = M4[rows_s[:, None], rows_t[None, :], cols[:, None], cols[None, :]]
-            out[s, t] = (phase_s[:, None] * block).sum() / (n * n)
-    return out
+    u = np.arange(n)
+    R = M.reshape(n, n, n, n).transpose(1, 3, 0, 2)[G.mul, u].sum(axis=1)
+    return np.einsum("su,tsu->st", np.conj(sigma.values), R[:, G.mul, u]) / (n * n)
 
 
 def comultiply_pair(M: np.ndarray, u: GroupFunction, v: GroupFunction,
@@ -318,16 +296,9 @@ def function_to_json(f: GroupFunction, inline_group: bool = True) -> dict:
 def function_from_json(doc: dict, group: Optional[FiniteGroup] = None,
                        base_dir: Optional[Path] = None) -> GroupFunction:
     if group is None:
-        entry = doc.get("group")
-        if entry is None:
+        group = grp.file_group(doc, base_dir)
+        if group is None:
             raise ValueError("function file lacks a group and none was supplied")
-        if isinstance(entry, str):
-            path = Path(entry)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            group = grp.load_group(path)
-        else:
-            group = grp.group_from_json(entry)
     vals = np.array([complex(re, im) for re, im in doc["values"]])
     return GroupFunction(group, vals)
 

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, cocycles, groups, norms
-from .errors import (CocycleViolation, InvalidTable, NotCyclicProduct,
-                     SolverFailure, TwistaError, UnsupportedSize)
+from .errors import (CertificateError, CocycleViolation, InvalidTable,
+                     NotCyclicProduct, SolverFailure, TwistaError,
+                     UnsupportedSize)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,10 +37,6 @@ def _write_json(path, doc) -> None:
         Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def _load_group_arg(path) -> groups.FiniteGroup:
-    return groups.load_group(path)
-
-
 def _load_cocycle_arg(arg, group=None) -> cocycles.Cocycle:
     """A cocycle file path, or the literal "trivial"."""
     if arg == "trivial":
@@ -49,33 +46,24 @@ def _load_cocycle_arg(arg, group=None) -> cocycles.Cocycle:
     return cocycles.load_cocycle(arg, group)
 
 
-def _load_function_arg(path, group=None) -> algebra.GroupFunction:
-    return algebra.load_function(path, group)
+# the flag that carries the one parameter of each `group build --kind`
+_BUILD_FLAG = {"cyclic": "n", "dihedral": "n", "symmetric": "n",
+               "cyclic-product": "orders", "product": "inputs"}
 
 
 def cmd_group(args) -> int:
     if args.action == "build":
-        try:
-            if args.kind == "cyclic":
-                g = groups.cyclic(args.n)
-            elif args.kind == "dihedral":
-                g = groups.dihedral(args.n)
-            elif args.kind == "symmetric":
-                g = groups.symmetric(args.n)
-            elif args.kind == "cyclic-product":
-                g = groups.cyclic_product([int(q) for q in args.orders.split(",")])
-            elif args.kind == "product":
-                g1 = _load_group_arg(args.inputs[0])
-                g2 = _load_group_arg(args.inputs[1])
-                g = groups.direct_product(g1, g2)
-            else:
-                raise ValueError(f"unknown kind {args.kind}")
-        except UnsupportedSize as exc:
-            print(f"unsupported size: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        except InvalidTable as exc:
-            print(f"validation failure: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        flag = _BUILD_FLAG[args.kind]
+        value = getattr(args, flag)
+        if value is None:
+            raise ValueError(f"--kind {args.kind} requires --{flag}")
+        if flag == "orders":
+            params = {"orders": [int(q) for q in value.split(",")]}
+        elif flag == "inputs":
+            params = dict(zip(("g1", "g2"), map(groups.load_group, value)))
+        else:
+            params = {"n": value}
+        g = groups.build_group(args.kind, **params)
         groups.save_group(g, args.output)
         print(f"wrote group of order {g.order} to {args.output}")
         return EXIT_OK
@@ -90,7 +78,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    group = _load_group_arg(args.group) if args.group else None
+    group = groups.load_group(args.group) if args.group else None
     if args.action == "validate":
         doc = json.loads(Path(args.input).read_text())
         try:
@@ -138,8 +126,8 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    group = _load_group_arg(args.group) if args.group else None
-    phi = _load_function_arg(args.phi, group)
+    group = groups.load_group(args.group) if args.group else None
+    phi = algebra.load_function(args.phi, group)
     group = phi.group
     t0 = time.perf_counter()
     if args.kind == "fourier":
@@ -171,7 +159,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_report_amenability(args) -> int:
-    group = _load_group_arg(args.group)
+    group = groups.load_group(args.group)
     sigma = _load_cocycle_arg(args.sigma, group)
     workers = int(os.environ.get("TWISTA_THREADS", "1"))
     report = norms.amenability_report(group, sigma, n_samples=args.samples,
@@ -210,7 +198,8 @@ def cmd_demo_quantum_torus(args) -> int:
     print(f"rational rotation algebra at angle {p}/{q}: twisted algebra of Z_{q}^2")
     print(f"algebra dimension {dim}, center dimension {cdim}")
     if d == 1:
-        assert cdim == 1
+        if cdim != 1:
+            raise CertificateError(f"coprime angle {p}/{q} gave center dimension {cdim}")
         print(f"center is trivial: algebra isomorphic to M_{q} (full {q}x{q} matrices)")
     elif p == 0:
         print(f"trivial angle: commutative algebra of dimension {dim}")

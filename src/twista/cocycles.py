@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import groups as grp
-from .errors import CocycleViolation, NotCyclicProduct
+from .errors import CertificateError, CocycleViolation, NotCyclicProduct
 from .groups import FiniteGroup
 from .smith import solve_mod
 
@@ -175,7 +175,7 @@ def unify_root_orders(*cocycles: Cocycle):
 
 
 def cocycle_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
-    _check_same_group(c1, c2)
+    grp.same_group(c1, c2)
     a, b = unify_root_orders(c1, c2)
     return Cocycle(a.group, a.m, (a.exponents + b.exponents) % a.m)
 
@@ -186,7 +186,7 @@ def cocycle_conjugate(c: Cocycle) -> Cocycle:
 
 def similarity_apply(c: Cocycle, xi: CoboundaryWitness) -> Cocycle:
     """Multiply by the coboundary of xi: out(s,t) = xi(s) xi(t) / xi(st) * c(s,t)."""
-    _check_same_group(c, xi)
+    grp.same_group(c, xi)
     L = lcm(c.m, xi.m)
     e = c.rescaled(L).exponents
     x = xi.rescaled(L).xi
@@ -212,8 +212,10 @@ def normalize_cocycle(tau: Cocycle):
     sigma = Cocycle(g, m2, expo)
     xi = CoboundaryWitness(g, m2, r % m2)
     # self-check: the witness certifies the similarity and the normalization rows hold
-    assert not sigma.exponents[np.arange(g.order), g.inv].any()
-    assert np.array_equal(similarity_apply(sigma, xi).exponents, e2)
+    if sigma.exponents[np.arange(g.order), g.inv].any():
+        raise CertificateError("normalized cocycle has sigma(s, s^-1) != 1")
+    if not np.array_equal(similarity_apply(sigma, xi).exponents, e2):
+        raise CertificateError("normalization witness does not certify the similarity")
     return sigma, xi
 
 
@@ -223,7 +225,7 @@ def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     Solves xi(s) + xi(t) - xi(st) = d(s, t) mod m by Smith normal form of the
     coboundary operator; complete for all moduli, including composite ones.
     """
-    _check_same_group(c1, c2)
+    grp.same_group(c1, c2)
     L = lcm(c1.m, c2.m)
     d = (c1.rescaled(L).exponents - c2.rescaled(L).exponents) % L
     n = c1.group.order
@@ -240,8 +242,9 @@ def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     if x is None:
         return None
     xi = CoboundaryWitness(c1.group, L, x)
-    assert np.array_equal(similarity_apply(c2, xi).exponents,
-                          c1.rescaled(L).exponents)
+    if not np.array_equal(similarity_apply(c2, xi).exponents,
+                          c1.rescaled(L).exponents):
+        raise CertificateError("coboundary witness does not map c2 onto c1")
     return xi
 
 
@@ -251,13 +254,6 @@ def random_coboundary_twist(c: Cocycle, m: int, rng) -> tuple[Cocycle, Coboundar
     xi_exp[0] = 0
     xi = CoboundaryWitness(c.group, m, xi_exp)
     return similarity_apply(c, xi), xi
-
-
-def _check_same_group(a, b):
-    from .errors import GroupMismatch
-
-    if a.group is not b.group and a.group != b.group:
-        raise GroupMismatch("operands live on different groups")
 
 
 def cocycle_to_json(c: Cocycle, inline_group: bool = True) -> dict:
@@ -270,16 +266,9 @@ def cocycle_to_json(c: Cocycle, inline_group: bool = True) -> dict:
 def cocycle_from_json(doc: dict, group: Optional[FiniteGroup] = None,
                       base_dir: Optional[Path] = None) -> Cocycle:
     if group is None:
-        entry = doc.get("group")
-        if entry is None:
+        group = grp.file_group(doc, base_dir)
+        if group is None:
             raise CocycleViolation("cocycle file lacks a group and none was supplied")
-        if isinstance(entry, str):
-            path = Path(entry)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            group = grp.load_group(path)
-        else:
-            group = grp.group_from_json(entry)
     return validate_cocycle(doc["exponents"], int(doc["m"]), group)
 
 

@@ -59,3 +59,7 @@ class SolverFailure(TwistaError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class CertificateError(SolverFailure):
+    """A computed result failed its own certificate check."""

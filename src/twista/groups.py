@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidTable, UnsupportedSize
+from .errors import GroupMismatch, InvalidTable, NotCyclicProduct, UnsupportedSize
 
 SYMMETRIC_CAP = 5
 
@@ -28,7 +28,6 @@ class FiniteGroup:
     mul: np.ndarray
     inv: np.ndarray
     labels: Optional[tuple] = None
-    modular_function: int = field(default=1, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mul", np.ascontiguousarray(self.mul, dtype=np.int64))
@@ -107,16 +106,14 @@ def validate_table(mul) -> ValidationReport:
     if not np.array_equal(mul[:, 0], rng_n):
         violations.append(("identity", "column 0 is not the identity column"))
 
-    # two-sided inverses
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero(mul[a] == 0)
-        if hits.size != 1 or mul[hits[0], a] != 0:
-            violations.append(("inverse", f"element {a} lacks a two-sided inverse"))
-        else:
-            inv[a] = hits[0]
-        if len(violations) >= 10:
-            return ValidationReport(False, tuple(violations[:10]))
+    # two-sided inverses: exactly one zero in row a, at b with mul[b, a] = 0 too
+    zeros = mul == 0
+    first = np.argmax(zeros, axis=1)
+    lacking = (zeros.sum(axis=1) != 1) | (mul[first, rng_n] != 0)
+    violations += [("inverse", f"element {a} lacks a two-sided inverse")
+                   for a in np.flatnonzero(lacking)]
+    if len(violations) >= 10:
+        return ValidationReport(False, tuple(violations[:10]))
 
     # associativity over all triples, vectorized
     left = mul[mul, :]     # [a, b, c] = (ab)c
@@ -129,17 +126,27 @@ def validate_table(mul) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _group_from_table(mul, labels=None) -> FiniteGroup:
+def _inverse_table(mul: np.ndarray) -> np.ndarray:
+    """inv[a] = the b with mul[a, b] = 0, for a table that passed validate_table."""
+    return np.argmax(mul == 0, axis=1)
+
+
+def from_table(mul, labels=None) -> FiniteGroup:
     report = validate_table(mul)
     if not report.ok:
         raise InvalidTable(f"invalid Cayley table: {report.violations}")
     mul = np.asarray(mul, dtype=np.int64)
-    n = mul.shape[0]
-    inv = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        inv[a] = np.flatnonzero(mul[a] == 0)[0]
-    return FiniteGroup(order=n, mul=mul, inv=inv,
+    return FiniteGroup(order=mul.shape[0], mul=mul, inv=_inverse_table(mul),
                        labels=tuple(labels) if labels is not None else None)
+
+
+def same_group(*objs) -> FiniteGroup:
+    """The common group of objects carrying a .group; raises GroupMismatch otherwise."""
+    g0 = objs[0].group
+    for o in objs[1:]:
+        if o.group is not g0 and o.group != g0:
+            raise GroupMismatch("operands live on different groups")
+    return g0
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -178,18 +185,12 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidTable("dihedral parameter must be positive")
     size = 2 * n
-    mul = np.empty((size, size), dtype=np.int64)
-    for f in (0, 1):
-        for a in range(n):
-            for g in (0, 1):
-                for b in range(n):
-                    rot = (-a if g else a)
-                    mul[f * n + a, g * n + b] = ((f ^ g) * n + (rot + b) % n)
-    inv = np.empty(size, dtype=np.int64)
-    for x in range(size):
-        inv[x] = np.flatnonzero(mul[x] == 0)[0]
+    f, a = np.divmod(np.arange(size), n)
+    # row (f, a) times column (g, b) is (f ^ g, (-a if g else a) + b)
+    rot = np.where(f[None, :] == 1, -a[:, None], a[:, None])
+    mul = (f[:, None] ^ f[None, :]) * n + (rot + a[None, :]) % n
     labels = tuple((f"s^{f}r^{a}" if f else f"r^{a}") for f in (0, 1) for a in range(n))
-    return FiniteGroup(order=size, mul=mul, inv=inv, labels=labels)
+    return FiniteGroup(order=size, mul=mul, inv=_inverse_table(mul), labels=labels)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -206,18 +207,8 @@ def symmetric(n: int) -> FiniteGroup:
         for j, q in enumerate(perms):
             # composition p after q: x -> p[q[x]]
             mul[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    inv = np.empty(size, dtype=np.int64)
-    for i, p in enumerate(perms):
-        ip = [0] * n
-        for x, px in enumerate(p):
-            ip[px] = x
-        inv[i] = index[tuple(ip)]
     labels = tuple("".join(map(str, p)) for p in perms)
-    return FiniteGroup(order=size, mul=mul, inv=inv, labels=labels)
-
-
-def from_table(mul, labels=None) -> FiniteGroup:
-    return _group_from_table(mul, labels)
+    return FiniteGroup(order=size, mul=mul, inv=_inverse_table(mul), labels=labels)
 
 
 def build_group(kind: str, **kwargs) -> FiniteGroup:
@@ -262,7 +253,7 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(doc: dict) -> FiniteGroup:
     mul = doc["mul"]
     labels = doc.get("labels")
-    g = _group_from_table(mul, labels)
+    g = from_table(mul, labels)
     if g.order != int(doc.get("order", g.order)):
         raise InvalidTable("declared order does not match table size")
     return g
@@ -276,14 +267,26 @@ def load_group(path) -> FiniteGroup:
     return group_from_json(json.loads(Path(path).read_text()))
 
 
+def file_group(doc: dict, base_dir: Optional[Path] = None) -> Optional[FiniteGroup]:
+    """The group a file's "group" entry names, or None when it has none.
+
+    The entry is either an inline group document or a path, taken relative to
+    base_dir (the directory of the file) unless absolute.
+    """
+    entry = doc.get("group")
+    if entry is None:
+        return None
+    if isinstance(entry, str):
+        return load_group(Path(base_dir or ".") / entry)
+    return group_from_json(entry)
+
+
 def infer_cyclic_orders(group: FiniteGroup) -> list[int]:
     """Recover factor orders of a mixed-radix cyclic product, last factor fastest.
 
     Raises NotCyclicProduct when the table does not match the layout produced
     by cyclic_product().
     """
-    from .errors import NotCyclicProduct
-
     if group.order == 1:
         return [1]
     orders: list[int] = []

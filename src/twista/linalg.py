@@ -6,42 +6,13 @@ import numpy as np
 
 from .errors import NotHermitian
 
-_SVD_CROSSCHECK_N = 16
-
 
 def operator_norm(M) -> float:
-    """Largest singular value via power iteration on M^H M.
-
-    For matrices up to 16x16 the result is cross-checked against the full
-    SVD; a disagreement indicates a numerical defect and raises.
-    """
+    """Largest singular value."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    if not np.abs(M).max():
-        return 0.0
-    n = M.shape[1]
-    v = np.ones(n, dtype=complex) + np.linspace(0.0, 0.5, n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(1000):
-        w = M.conj().T @ (M @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        v = w / nrm
-        cur = np.sqrt(nrm)
-        if abs(cur - prev) <= 1e-15 * max(cur, 1.0):
-            break
-        prev = cur
-    est = float(np.linalg.norm(M @ v))
-    if max(M.shape) <= _SVD_CROSSCHECK_N:
-        full = float(np.linalg.svd(M, compute_uv=False)[0])
-        if abs(full - est) > 1e-8 * max(1.0, full):
-            raise ArithmeticError(
-                f"power iteration ({est}) disagrees with SVD ({full})")
-        return full
-    return est
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def trace_norm(M) -> float:

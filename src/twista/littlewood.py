@@ -147,4 +147,4 @@ def t2_split(psi, tol: float = 1e-5, max_iter: int = 40000,
     psi2_out = psi - psi1_out
     return T2Split(value=value, psi1=psi1_out, psi2=psi2_out,
                    dual_bound=dual, gap=gap, iterations=it,
-                   budget_exhausted=gap > tol)
+                   budget_exhausted=bool(gap > tol))

@@ -25,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (GroupFunction, TwistedOperator, lift_matrix,
-                      operator_coefficients, same_group)
+                      operator_coefficients)
 from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocycle
-from .errors import GroupMismatch, SolverFailure
-from .groups import FiniteGroup
-from .littlewood import t2_split
+from .errors import CertificateError, GroupMismatch, SolverFailure
+from .groups import FiniteGroup, same_group
+from .littlewood import T2Split, t2_split
 from .sdp import SDPSolution, gamma2
 
 
@@ -50,15 +50,6 @@ class MultiplierCertificate:
     dual_bound: float
     gap: float
     sdp: SDPSolution = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
-class LittlewoodCertificate:
-    value: float
-    psi1: np.ndarray
-    psi2: np.ndarray
-    dual_bound: float
-    gap: float
 
 
 def fourier_stieltjes_norm(phi: GroupFunction, sigma: Cocycle) -> FourierStieltjesCertificate:
@@ -84,7 +75,8 @@ def fourier_stieltjes_norm(phi: GroupFunction, sigma: Cocycle) -> FourierStieltj
     T = (Bh.conj().T * gvals[None, :]) @ (A * svals[None, :]).conj().T
     t_coeffs = operator_coefficients(T, sigma)
     pairing = float(abs(np.sum(t_coeffs * phi.values)))
-    assert pairing >= value - 1e-8 * max(1.0, value)
+    if pairing < value - 1e-8 * max(1.0, value):
+        raise CertificateError(f"polar witness pairs to {pairing}, below the value {value}")
     dual_element = TwistedOperator(G, sigma, Y, coeffs)
     return FourierStieltjesCertificate(value=value, dual_element=dual_element,
                                        singular_values=svals,
@@ -121,7 +113,8 @@ def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
     eta = sol.xi.conj()
     recon = xi @ eta.conj().T
     err = float(np.abs(recon - F).max())
-    assert err <= 1e-8 * max(1.0, sol.value), f"factorization residual {err:.2e}"
+    if err > 1e-8 * max(1.0, sol.value):
+        raise CertificateError(f"factorization residual {err:.2e}", partial=sol)
     return MultiplierCertificate(value=sol.value, xi=xi, eta=eta,
                                  dual_bound=sol.dual_value, gap=sol.gap, sdp=sol)
 
@@ -133,15 +126,12 @@ def multiplier_apply(phi: GroupFunction, psi: GroupFunction,
     return GroupFunction(G, phi.values * psi.values)
 
 
-def littlewood_norm(psi, tol: float = 1e-5, max_iter: int = 40000) -> LittlewoodCertificate:
-    split = t2_split(np.asarray(psi, dtype=complex), tol=tol, max_iter=max_iter)
-    return LittlewoodCertificate(value=split.value, psi1=split.psi1,
-                                 psi2=split.psi2, dual_bound=split.dual_bound,
-                                 gap=split.gap)
+def littlewood_norm(psi, tol: float = 1e-5, max_iter: int = 40000) -> T2Split:
+    return t2_split(psi, tol=tol, max_iter=max_iter)
 
 
 def littlewood_T2_norm(phi: GroupFunction, tol: float = 1e-5,
-                       max_iter: int = 40000) -> LittlewoodCertificate:
+                       max_iter: int = 40000) -> T2Split:
     """T2 norm of phi: the t2 norm of the matrix f[s, t] = phi(st)."""
     G = phi.group
     return littlewood_norm(phi.values[G.mul], tol=tol, max_iter=max_iter)
@@ -286,11 +276,13 @@ def certificate_to_json(cert, wall_time_ms: Optional[float] = None) -> dict:
                "iterations": cert.sdp.iterations if cert.sdp else None,
                "xi": {"shape": xi_shape, "entries": xi_flat},
                "eta": {"shape": eta_shape, "entries": eta_flat}}
-    elif isinstance(cert, LittlewoodCertificate):
+    elif isinstance(cert, T2Split):
         p1, s1 = carr(cert.psi1)
         p2, s2 = carr(cert.psi2)
         doc = {"norm": "littlewood-t2", "value": cert.value,
                "dual_bound": cert.dual_bound, "gap": cert.gap,
+               "iterations": cert.iterations,
+               "budget_exhausted": cert.budget_exhausted,
                "psi1": {"shape": s1, "entries": p1},
                "psi2": {"shape": s2, "entries": p2}}
     else:

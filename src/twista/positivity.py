@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (GroupFunction, regular_rep, same_group,
-                      twisted_convolve, twisted_involution)
+from .algebra import (GroupFunction, regular_rep, twisted_convolve,
+                      twisted_involution)
 from .cocycles import Cocycle
 from .errors import (DegenerateState, DimensionMismatch, NotPositiveDefinite,
                      ZeroVector)
+from .groups import same_group
 
 PSD_TOL = 1e-10
 GNS_RANK_TOL = 1e-9
@@ -165,13 +166,3 @@ def gns(phi: GroupFunction, sigma: Cocycle, rank_tol: float = GNS_RANK_TOL) -> G
     coeffs = np.einsum("sij,j,i->s", rep, cyclic, np.conj(cyclic))
     residual = float(np.abs(coeffs - phi.values).max())
     return GNSResult(dim=dim, rep=rep, cyclic=cyclic, residual=residual)
-
-
-def gns_to_json(res: GNSResult) -> dict:
-    return {
-        "dim": res.dim,
-        "residual": res.residual,
-        "cyclic": [[float(z.real), float(z.imag)] for z in res.cyclic],
-        "rep": [[[[float(z.real), float(z.imag)] for z in row] for row in mat]
-                for mat in res.rep],
-    }

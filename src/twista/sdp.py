@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .errors import SolverFailure
+from .errors import CertificateError, SolverFailure, UnsupportedSize
 
 MAX_SIZE = 128
 SQ2 = np.sqrt(2.0)
@@ -39,11 +39,12 @@ class Gamma2Problem:
     F: np.ndarray
 
     def __post_init__(self):
-        F = np.ascontiguousarray(self.F, dtype=complex)
-        if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        shape = np.shape(self.F)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("gamma2 expects a square matrix")
-        if F.shape[0] > MAX_SIZE:
-            raise ValueError(f"gamma2 supports n <= {MAX_SIZE}")
+        if shape[0] > MAX_SIZE:
+            raise UnsupportedSize(f"gamma2 supports n <= {MAX_SIZE}, got {shape[0]}")
+        F = np.ascontiguousarray(self.F, dtype=complex)
         if not np.isfinite(F).all():
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "F", F)
@@ -198,9 +199,10 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
 
         pobj = t
         bound, u, v = _dual_trace_bound(F, Zp)
-        # weak duality, asserted on the certified pair: the primal block is
+        # weak duality, checked on the certified pair: the primal block is
         # exactly feasible and the trace bound is valid for any PSD iterate
-        assert bound <= pobj + 1e-9 * max(1.0, abs(pobj)), "weak duality violated"
+        if bound > pobj + 1e-9 * max(1.0, abs(pobj)):
+            raise CertificateError(f"weak duality violated: dual {bound} > primal {pobj}")
         if bound > best_dual:
             best_dual, best_uv = bound, (u, v)
         if pobj - best_dual <= 0.5 * tol / scale:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import twista as tw
-from twista.errors import GroupMismatch, MissingCoefficients
+from twista.errors import GroupMismatch, InvalidTable, MissingCoefficients
 
 
 def rand_fn(group, rng):
@@ -207,6 +207,14 @@ def test_embedding_intertwines_convolutions(s3_sigma):
     lhs = ce.embed(tw.twisted_convolve(f, h, sigma))
     rhs = ce.convolve(ce.embed(f), ce.embed(h))
     assert np.abs(lhs.values - rhs.values).max() < 1e-12
+
+
+def test_central_extension_of_a_non_cocycle_is_invalid():
+    g = tw.cyclic(3)
+    expo = np.zeros((3, 3), dtype=np.int64)
+    expo[1, 1] = 1                      # fails the cocycle identity
+    with pytest.raises(InvalidTable):
+        tw.central_extension(tw.Cocycle(g, 2, expo))
 
 
 def test_comultiply_identity_and_pairing():

@@ -52,6 +52,17 @@ def test_group_unsupported_size(workdir):
                 "-o", workdir / "s7.json"]) == 4
 
 
+@pytest.mark.parametrize("kind, flag", [("cyclic", "--n"), ("dihedral", "--n"),
+                                        ("symmetric", "--n"),
+                                        ("cyclic-product", "--orders"),
+                                        ("product", "--inputs")])
+def test_group_build_names_a_missing_parameter(workdir, capsys, kind, flag):
+    out = workdir / "g.json"
+    assert run(["group", "build", "--kind", kind, "-o", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_io_error(workdir):
     assert run(["group", "validate", "--in", workdir / "nope.json"]) == 3
 
@@ -109,6 +120,17 @@ def test_norm_commands_and_certificates(workdir):
     assert run(["norm", "littlewood", "--phi", fpath, "-o", lout]) == 0
     doc = json.loads(lout.read_text())
     assert abs(doc["value"] - 1.0) <= 1e-4
+    assert doc["iterations"] >= 1 and doc["budget_exhausted"] is False
+
+
+def test_oversize_multiplier_norm_is_unsupported(workdir):
+    gpath = workdir / "z130.json"
+    assert run(["group", "build", "--kind", "cyclic", "--n", 130, "-o", gpath]) == 0
+    fpath = workdir / "delta.json"
+    tw.save_function(tw.delta(tw.load_group(gpath), 0), fpath)
+    code = run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "-o", workdir / "m.json"])
+    assert code == 4
 
 
 def test_norm_deterministic_across_runs(workdir):

@@ -160,6 +160,15 @@ def test_coboundary_test_identical_cocycles(suite_groups):
     assert np.array_equal(tw.similarity_apply(c, wit).exponents, c.exponents)
 
 
+def test_coboundary_test_rejects_a_wrong_witness(monkeypatch):
+    c = tw.trivial_cocycle(tw.cyclic(3), 4)
+    # xi = (0, 1, 0) has coboundary 2 at (1, 1), so it does not relate c to c
+    monkeypatch.setattr(tw.cocycles, "solve_mod",
+                        lambda A, b, m: np.array([0, 1, 0], dtype=np.int64))
+    with pytest.raises(tw.CertificateError):
+        tw.coboundary_test(c, c)
+
+
 def test_z2z2_bilinear_not_a_coboundary_exhaustive():
     g = tw.cyclic_product([2, 2])
     c = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], orders=[2, 2], m=2)

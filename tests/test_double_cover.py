@@ -104,3 +104,26 @@ def test_pd_theory_on_the_twisted_dihedral(cover_data):
     assert tw.positive_type_check(phi, sigma, n_random=50)
     res = tw.gns(phi, sigma)
     assert res.residual <= 1e-10
+
+
+def test_comultiply_matches_kronecker_sum_on_the_twisted_dihedral(cover_data):
+    _, Q, sigma = cover_data
+    n = Q.order
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    M = tw.comultiply(tw.lift(tw.GroupFunction(Q, c), sigma))
+    # oracle: the definition sum_s c_s lambda_sigma(s) (x) lambda(s)
+    lam_sigma = tw.regular_rep_tensor(sigma)
+    lam = tw.regular_rep_tensor(tw.trivial_cocycle(Q))
+    oracle = np.zeros((n * n, n * n), dtype=complex)
+    for s in range(n):
+        oracle += c[s] * np.kron(lam_sigma[s], lam[s])
+    assert np.array_equal(M, oracle)
+    coeffs = tw.algebra.tensor_coefficients(M, sigma)
+    assert np.abs(np.diag(coeffs) - c).max() < 1e-14
+    assert np.abs(coeffs - np.diag(np.diag(coeffs))).max() < 1e-14
+    # on any matrix, c[s, t] is the normalised trace pairing with lambda_sigma(s) (x) lambda(t)
+    R = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    expect = np.array([[np.vdot(np.kron(lam_sigma[s], lam[t]), R) for t in range(n)]
+                       for s in range(n)]) / (n * n)
+    assert np.abs(tw.algebra.tensor_coefficients(R, sigma) - expect).max() < 1e-12

@@ -151,7 +151,7 @@ def test_gamma2_deterministic_bitwise():
 
 
 def test_gamma2_rejects_oversize_and_nonsquare():
-    with pytest.raises(ValueError):
+    with pytest.raises(tw.UnsupportedSize):
         tw.gamma2(np.ones((129, 129)))
     with pytest.raises(ValueError):
         tw.gamma2(np.ones((2, 3)))
