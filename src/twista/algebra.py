@@ -263,27 +263,15 @@ def comultiply_pair(M: np.ndarray, u: GroupFunction, v: GroupFunction,
 def center_dimension(sigma: Cocycle) -> int:
     """Dimension of the center of span{lambda_sigma(s)}.
 
-    Stacks the commutator equations on the coefficient vector and counts the
-    null space; equals the number of irreducible sigma-representations.
+    Counts the conjugacy classes of sigma-regular elements: s with
+    sigma(s, t) = sigma(t, s) for every t commuting with s.  Equals the number
+    of irreducible sigma-representations (Karpilovsky); exact integer work.
     """
     G = sigma.group
-    n = G.order
-    mul, inv = G.mul, G.inv
-    sig = sigma.values
-    rows = []
-    for t in range(n):
-        u = np.arange(n)
-        a = mul[u, inv[t]]       # s with st = u
-        b = mul[inv[t], u]       # s with ts = u
-        block = np.zeros((n, n), dtype=complex)
-        block[u, a] += sig[a, np.full(n, t)]
-        block[u, b] -= sig[np.full(n, t), b]
-        rows.append(block)
-    A = np.concatenate(rows, axis=0)
-    svals = np.linalg.svd(A, compute_uv=False)
-    tol = 1e-9 * max(1.0, svals[0] if svals.size else 1.0)
-    rank = int((svals > tol).sum())
-    return n - rank
+    mul, e = G.mul, sigma.exponents
+    regular = ~((mul == mul.T) & (e != e.T)).any(axis=1)
+    class_of = mul[mul, G.inv[:, None]].min(axis=0)   # min over t of t s t^-1
+    return len(np.unique(class_of[regular]))
 
 
 def function_to_json(f: GroupFunction, inline_group: bool = True) -> dict:

@@ -84,28 +84,27 @@ class CoboundaryWitness:
 
 
 def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
-    """List up to `limit` violations of the cocycle identity or normalization."""
+    """List up to `limit` violations of the cocycle identity or normalization.
+
+    The identity is checked on S x G x G for a generating set S: its defect
+    F = delta e has delta F = 0, so F(sb, c, d) = F(b, c, d) once F vanishes
+    on S.  Violations are reported as real (s, t, r) triples.
+    """
     expo = np.asarray(table, dtype=np.int64)
     n = group.order
-    out = []
     if expo.shape != (n, n):
         return [("shape", expo.shape)]
     e = expo % m
     mul = group.mul
-    bad_rows = np.flatnonzero(e[:, 0])
-    bad_cols = np.flatnonzero(e[0, :])
-    for s in bad_rows[:limit]:
-        out.append(("normalization", (int(s), 0)))
-    for t in bad_cols[: max(0, limit - len(out))]:
-        out.append(("normalization", (0, int(t))))
+    out = [("normalization", (int(s), 0)) for s in np.flatnonzero(e[:, 0])]
+    out += [("normalization", (0, int(t))) for t in np.flatnonzero(e[0, :])]
     if out:
-        return out
-    lhs = (e[:, :, None] + e[mul, :]) % m            # sigma(s,t) sigma(st,r)
-    rhs = (e[:, mul] + e[None, :, :]) % m            # sigma(s,tr) sigma(t,r)
-    bad = np.argwhere(lhs != rhs)
-    for s, t, r in bad[:limit]:
-        out.append(("identity", (int(s), int(t), int(r))))
-    return out
+        return out[:limit]
+    S = grp.generating_set(mul)
+    lhs = (e[S, :, None] + e[mul[S], :]) % m         # sigma(s,t) sigma(st,r)
+    rhs = (e[S][:, mul] + e[None, :, :]) % m         # sigma(s,tr) sigma(t,r)
+    return [("identity", (int(S[i]), int(t), int(r)))
+            for i, t, r in np.argwhere(lhs != rhs)[:limit]]
 
 
 def validate_cocycle(table, m: int, group: FiniteGroup) -> Cocycle:
@@ -224,26 +223,26 @@ def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
 
     Solves xi(s) + xi(t) - xi(st) = d(s, t) mod m by Smith normal form of the
     coboundary operator; complete for all moduli, including composite ones.
+    Only the rows with s in a generating set S enter the system, |S| * n rows
+    instead of n^2: once d = c1 / c2 is checked to be a normalized cocycle,
+    d' = d - delta xi vanishing on S x G gives d'(sb, c) = d'(b, c), so d' = 0.
     """
-    grp.same_group(c1, c2)
+    group = grp.same_group(c1, c2)
     L = lcm(c1.m, c2.m)
-    d = (c1.rescaled(L).exponents - c2.rescaled(L).exponents) % L
-    n = c1.group.order
-    mul = c1.group.mul
-    rows = n * n
-    A = np.zeros((rows, n), dtype=np.int64)
-    r = np.arange(rows)
-    s = r // n
-    t = r % n
-    np.add.at(A, (r, s), 1)
-    np.add.at(A, (r, t), 1)
-    np.add.at(A, (r, mul[s, t]), -1)
-    x = solve_mod(A, d.reshape(-1), L)
+    e1 = c1.rescaled(L).exponents
+    d = (e1 - c2.rescaled(L).exponents) % L
+    bad = cocycle_violations(d, L, group)
+    if bad:
+        raise CocycleViolation(f"c1 / c2 is not a normalized cocycle, first: {bad[0]}", bad)
+    n = group.order
+    s, t = grp.generating_set(group.mul)[:, None], np.arange(n)
+    eye = np.eye(n, dtype=np.int64)
+    A = (eye[s] + eye[t] - eye[group.mul[s, t]]).reshape(-1, n)
+    x = solve_mod(A, d[s, t].ravel(), L)
     if x is None:
         return None
-    xi = CoboundaryWitness(c1.group, L, x)
-    if not np.array_equal(similarity_apply(c2, xi).exponents,
-                          c1.rescaled(L).exponents):
+    xi = CoboundaryWitness(group, L, x)
+    if not np.array_equal(similarity_apply(c2, xi).exponents, e1):
         raise CertificateError("coboundary witness does not map c2 onto c1")
     return xi
 

@@ -217,6 +217,17 @@ def test_central_extension_of_a_non_cocycle_is_invalid():
         tw.central_extension(tw.Cocycle(g, 2, expo))
 
 
+def test_central_extension_of_a_twisted_s5_builds():
+    g = tw.symmetric(5)
+    sigma, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 4), 4,
+                                          np.random.default_rng(8))
+    ce = tw.central_extension(sigma)       # validates a 480 x 480 table
+    assert ce.ext.order == 480
+    s, t = 7, 11
+    assert ce.ext.mul[ce.index(s, 1), ce.index(t, 2)] == ce.index(
+        g.mul[s, t], 3 + sigma.exponents[s, t])
+
+
 def test_comultiply_identity_and_pairing():
     g = tw.cyclic(4)
     rng = np.random.default_rng(12)

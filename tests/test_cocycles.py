@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import twista as tw
 from twista.errors import CocycleViolation, NotCyclicProduct
+from twista.smith import solve_mod
 
 
 def brute_force_identity(expo, m, g):
@@ -280,3 +281,59 @@ def test_cocycle_json_round_trip(tmp_path):
     assert c2.m == c.m
     assert np.array_equal(c2.exponents, c.exponents)
     assert c2.group == g
+
+
+def test_coboundary_test_refuses_a_non_cocycle(monkeypatch):
+    table = np.zeros((3, 3), dtype=np.int64)
+    table[1, 1] = 1                     # fails the cocycle identity at (1, 1, 2)
+    bad = tw.Cocycle(tw.cyclic(3), 2, table)
+
+    def no_solve(A, b, m):
+        raise AssertionError("the system must not be solved for a non-cocycle")
+
+    monkeypatch.setattr(tw.cocycles, "solve_mod", no_solve)
+    for c1, c2 in ((bad, tw.trivial_cocycle(bad.group, 2)),
+                   (tw.trivial_cocycle(bad.group, 4), bad)):
+        with pytest.raises(CocycleViolation) as exc:
+            tw.coboundary_test(c1, c2)
+        assert exc.value.violations
+        assert all(kind == "identity" for kind, _ in exc.value.violations)
+
+
+def test_coboundary_system_on_s5_has_at_most_log_n_row_blocks(monkeypatch):
+    g = tw.symmetric(5)
+    rows = []
+
+    def spy(A, b, m):
+        rows.append(len(A))
+        return solve_mod(A, b, m)
+
+    monkeypatch.setattr(tw.cocycles, "solve_mod", spy)
+    twisted, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 4), 4,
+                                            np.random.default_rng(5))
+    assert tw.coboundary_test(twisted, tw.trivial_cocycle(g)) is not None
+    n = g.order
+    assert rows and rows[0] <= (int(np.log2(n)) + 1) * n   # 7 * 120 = 840
+
+
+_PERTURB_BUILDERS = dict(_SMALL_BUILDERS, D4=lambda: tw.dihedral(4),
+                         Z3xZ3=lambda: tw.cyclic_product([3, 3]))
+
+
+@given(st.sampled_from(sorted(_PERTURB_BUILDERS)), st.integers(0, 10**6))
+def test_generator_identity_check_matches_brute_force(name, seed):
+    """Perturbed normalized tables: a violation exists iff one is reported on S x G x G."""
+    g = _PERTURB_BUILDERS[name]()
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    c, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, m), m, rng)
+    expo = c.exponents.copy()
+    for _ in range(int(rng.integers(0, 3))):   # rows and columns 0 stay normalized
+        s, t = rng.integers(1, g.order, 2)
+        expo[s, t] = rng.integers(0, m)
+    found = tw.cocycles.cocycle_violations(expo, m, g)
+    assert (not found) == brute_force_identity(expo, m, g)
+    for kind, (s, t, r) in found:
+        assert kind == "identity"
+        assert ((expo[s, t] + expo[g.mul[s, t], r] - expo[s, g.mul[t, r]] - expo[t, r])
+                % m)

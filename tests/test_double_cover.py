@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import twista as tw
+from oracles import center_dimension_svd, coboundary_solution_full
 
 
 def quaternion16():
@@ -70,6 +71,9 @@ def test_quotient_is_dihedral(cover_data):
 def test_cover_cocycle_is_not_a_coboundary(cover_data):
     _, Q, sigma = cover_data
     assert tw.coboundary_test(sigma, tw.trivial_cocycle(Q, 2)) is None
+    assert coboundary_solution_full(sigma, tw.trivial_cocycle(Q, 2)) is None
+    # nor over mu_32: a T-valued witness could be taken in mu_{2|G|} = mu_16
+    assert tw.coboundary_test(sigma.rescaled(32), tw.trivial_cocycle(Q, 32)) is None
 
 
 def test_central_extension_rebuilds_the_cover(cover_data):
@@ -85,6 +89,8 @@ def test_twisted_algebra_splits_into_two_matrix_blocks(cover_data):
     _, Q, sigma = cover_data
     assert tw.center_dimension(sigma) == 2
     assert tw.center_dimension(tw.trivial_cocycle(Q)) == 5  # conjugacy classes of D4
+    assert center_dimension_svd(sigma) == 2
+    assert center_dimension_svd(tw.trivial_cocycle(Q)) == 5
 
 
 def test_norm_equality_on_the_twisted_dihedral(cover_data):

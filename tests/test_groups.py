@@ -1,10 +1,13 @@
 """Group construction, validation, and element arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import twista as tw
+from oracles import associativity_fails, magma_closure
 from twista.errors import InvalidTable, UnsupportedSize
 
 
@@ -160,3 +163,82 @@ def test_infer_cyclic_orders():
     assert tw.groups.infer_cyclic_orders(tw.cyclic_product([2, 3, 4])) == [2, 3, 4]
     with pytest.raises(tw.NotCyclicProduct):
         tw.groups.infer_cyclic_orders(tw.symmetric(3))
+
+
+def test_generating_set_reaches_every_suite_group(suite_groups):
+    extra = {"D20": tw.dihedral(20), "S5": tw.symmetric(5),
+             "Z11xZ11": tw.cyclic_product([11, 11]), "Z10^3": tw.cyclic_product([10, 10, 10])}
+    for name, g in {**suite_groups, **extra}.items():
+        gens = tw.groups.generating_set(g.mul)
+        assert gens[0] == 0 and list(gens) == sorted(gens), name
+        assert len(gens) <= int(np.log2(g.order)) + 1, name
+        assert magma_closure(g.mul, gens).all(), name
+
+
+def test_validate_table_memory_stays_quadratic():
+    mul = tw.cyclic_product([10, 10, 10]).mul
+    tracemalloc.start()
+    try:
+        report = tw.validate_table(mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 128 * 2**20      # the n^3 triple scan needed about 16 GB
+
+
+_TABLE_BUILDERS = {
+    "Z5": lambda: tw.cyclic(5),
+    "Z7": lambda: tw.cyclic(7),
+    "Z2xZ2": lambda: tw.cyclic_product([2, 2]),
+    "S3": lambda: tw.symmetric(3),
+    "D4": lambda: tw.dihedral(4),
+    "Z3xZ3": lambda: tw.cyclic_product([3, 3]),
+    "S4": lambda: tw.symmetric(4),
+}
+
+
+def _distorted_table(mul, kind, rng):
+    """A group table perturbed, relabelled, or turned into a Latin square or loop."""
+    n = len(mul)
+    if kind == "perturbed":             # identity row and column kept
+        mul = mul.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            s, t = rng.integers(1, n, 2)
+            mul[s, t] = rng.integers(0, n)
+        return mul
+    if kind == "relabelled":            # an isomorphic copy, identity moved off 0
+        p = rng.permutation(n)
+        q = np.argsort(p)
+        return p[mul[np.ix_(q, q)]]
+    alpha, beta, gamma = (rng.permutation(n) for _ in range(3))
+    latin = gamma[mul[np.ix_(alpha, beta)]]
+    # swap x and y in a 2 x 2 subsquare [[x, y], [y, x]] when the rows r1, r2
+    # have one: the square stays Latin but is, in general, no group's isotope
+    where = np.argsort(latin, axis=1)       # where[r, x] = column of x in row r
+    r1, r2 = rng.choice(n, 2, replace=False)
+    f = where[r1][latin[r2]]                # row r1 holds latin[r2, c] at f[c]
+    cols = np.flatnonzero((f[f] == np.arange(n)) & (f != np.arange(n)))
+    if cols.size:
+        c1 = rng.choice(cols)
+        c2 = f[c1]
+        rows = [r1, r2, r1, r2]
+        latin[rows, [c1, c2, c2, c1]] = latin[rows, [c2, c1, c1, c2]]
+    if kind == "latin":
+        return latin
+    latin = latin[:, np.argsort(latin[0])]          # row 0 becomes the identity row
+    return latin[np.argsort(latin[:, 0])]           # then column 0 too: a loop
+
+
+@given(st.sampled_from(sorted(_TABLE_BUILDERS)),
+       st.sampled_from(["perturbed", "relabelled", "latin", "loop"]),
+       st.integers(0, 10**6))
+def test_light_test_matches_the_full_associativity_scan(name, kind, seed):
+    mul = _distorted_table(_TABLE_BUILDERS[name]().mul, kind, np.random.default_rng(seed))
+    assert magma_closure(mul, tw.groups.generating_set(mul)).all()
+    report = tw.validate_table(mul)
+    triples = [v[1] for v in report.violations if v[0] == "associativity"]
+    if len(report.violations) - len(triples) < 10:   # the scan ran
+        assert bool(triples) == associativity_fails(mul)
+    for a, b, c in triples:
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
