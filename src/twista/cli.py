@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -161,10 +160,8 @@ def cmd_norm(args) -> int:
 def cmd_report_amenability(args) -> int:
     group = groups.load_group(args.group)
     sigma = _load_cocycle_arg(args.sigma, group)
-    workers = int(os.environ.get("TWISTA_THREADS", "1"))
     report = norms.amenability_report(group, sigma, n_samples=args.samples,
-                                      seed=args.seed, tol=args.tol,
-                                      max_workers=max(1, workers))
+                                      seed=args.seed, tol=args.tol)
     doc = report.to_json()
     doc["threshold"] = args.threshold
     _write_json(args.output, doc)

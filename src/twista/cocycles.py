@@ -221,8 +221,9 @@ def normalize_cocycle(tau: Cocycle):
 def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     """Exact similarity decision: xi with c1 = (coboundary of xi) * c2, or None.
 
-    Solves xi(s) + xi(t) - xi(st) = d(s, t) mod m by Smith normal form of the
-    coboundary operator; complete for all moduli, including composite ones.
+    Solves xi(s) + xi(t) - xi(st) = d(s, t) mod m by a diagonal form of the
+    coboundary operator over Z/mZ; complete for all moduli, composite ones
+    included.
     Only the rows with s in a generating set S enter the system, |S| * n rows
     instead of n^2: once d = c1 / c2 is checked to be a normalized cocycle,
     d' = d - delta xi vanishing on S x G gives d'(sb, c) = d'(b, c), so d' = 0.

@@ -18,7 +18,6 @@ amenability_report cross-validates the two pipelines on random functions.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -206,8 +205,7 @@ CSV_COLUMNS = ("sample_id", "seed", "b_norm", "cb_norm", "rel_gap",
 
 
 def amenability_report(group: FiniteGroup, sigma: Cocycle, n_samples: int,
-                       seed: int, tol: float = 1e-6,
-                       max_workers: int = 1) -> AmenabilityReport:
+                       seed: int, tol: float = 1e-6) -> AmenabilityReport:
     """Cross-validate trace duality against the multiplier SDP.
 
     For seeded complex Gaussian phi the B(G, sigma) norm and the
@@ -240,11 +238,7 @@ def amenability_report(group: FiniteGroup, sigma: Cocycle, n_samples: int,
                                  rel_gap=rel, sdp_gap=sdp_gap,
                                  wall_time_ms=ms, status=status)
 
-    if max_workers > 1 and n_samples > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            samples = list(pool.map(one, range(n_samples)))
-    else:
-        samples = [one(k) for k in range(n_samples)]
+    samples = [one(k) for k in range(n_samples)]
 
     ok = [s for s in samples if s.status == "ok"]
     max_rel = max((s.rel_gap for s in ok), default=0.0)

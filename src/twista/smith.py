@@ -1,16 +1,15 @@
-"""Exact integer linear algebra: Smith normal form and linear solves mod m.
+"""Exact integer linear algebra mod m: a diagonal form and linear solves.
 
 Used by the coboundary decision procedure.  Correct for composite moduli,
-where Gaussian elimination mod m would fail.
+where Gaussian elimination mod m would fail.  All arithmetic is numpy int64
+with entries kept in [0, m), so products stay below m^2.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
-_OVERFLOW_GUARD = 1 << 50
+from .errors import CertificateError, UnsupportedSize
 
 
 def _echelon_carry(A: np.ndarray, b: np.ndarray, m: int):
@@ -23,8 +22,6 @@ def _echelon_carry(A: np.ndarray, b: np.ndarray, m: int):
     side, and extra the carried entries of rows whose A-part vanished
     (consistency constraints 0 = extra_i mod m).
     """
-    if m * m > _OVERFLOW_GUARD:
-        raise OverflowError("modulus too large for int64 arithmetic")
     W = np.concatenate([np.asarray(A, dtype=np.int64),
                         np.asarray(b, dtype=np.int64)[:, None]], axis=1) % m
     rows, cols = W.shape[0], W.shape[1] - 1
@@ -45,136 +42,85 @@ def _echelon_carry(A: np.ndarray, b: np.ndarray, m: int):
             if not W[r + 1:, j].any():
                 r += 1
                 break
-    live = W[:r]
-    rest = W[r:]
     # rows below the pivot block have zero A-part by construction
-    extra = rest[:, -1][np.abs(rest[:, :-1]).sum(axis=1) == 0]
-    return live[:, :-1], live[:, -1], extra
+    return W[:r, :-1], W[:r, -1], W[r:, -1]
 
 
-def smith_normal_form(A):
-    """Return (S, U, V) with U A V = S diagonal, U and V unimodular.
+def smith_normal_form(A, m: int):
+    """Return (d, U, V) with U A V = diag(d) (mod m), U and V invertible mod m.
 
-    Exact over Z via Python integers; intended for small matrices.
+    A diagonal form over Z/mZ: the smallest nonzero entry of the remaining
+    block becomes the pivot, and Euclid runs on the pivot row and column
+    until both clear.  Every entry stays in [0, m); U and V are tracked mod
+    m.  The divisibility chain d_1 | d_2 | ... of a Smith normal form is not
+    computed, because solving the diagonal system does not need it.
     """
-    A = [[int(x) for x in row] for row in np.asarray(A)]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
+    W = np.asarray(A, dtype=np.int64) % m
+    rows, cols = W.shape
+    U = np.eye(rows, dtype=np.int64)
+    V = np.eye(cols, dtype=np.int64)
     k = 0
     while k < min(rows, cols):
-        # locate a nonzero pivot of minimal magnitude
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+        block = np.where(W[k:, k:] > 0, W[k:, k:], m)
+        i, j = np.unravel_index(block.argmin(), block.shape)
+        if block[i, j] == m:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        while True:
-            done = True
-            for i in range(k + 1, rows):
-                if A[i][k]:
-                    addmul_row(i, k, -(A[i][k] // A[k][k]))
-                    if A[i][k]:
-                        swap_rows(k, i)
-                        done = False
-            for j in range(k + 1, cols):
-                if A[k][j]:
-                    addmul_col(j, k, -(A[k][j] // A[k][k]))
-                    if A[k][j]:
-                        swap_cols(k, j)
-                        done = False
-            if done:
-                break
-        # divisibility: d_k must divide everything below and to the right
-        fixed = False
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if A[i][j] % A[k][k]:
-                    addmul_row(k, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if A[k][k] < 0:
-            A[k] = [-x for x in A[k]]
-            U[k] = [-x for x in U[k]]
-        k += 1
+        W[[k, k + i]], U[[k, k + i]] = W[[k + i, k]], U[[k + i, k]]
+        W[:, [k, k + j]], V[:, [k, k + j]] = W[:, [k + j, k]], V[:, [k + j, k]]
+        below = k + 1 + np.flatnonzero(W[k + 1:, k])
+        q = W[below, k, None] // W[k, k]
+        W[below] = (W[below] - q * W[k]) % m
+        U[below] = (U[below] - q * U[k]) % m
+        right = k + 1 + np.flatnonzero(W[k, k + 1:])
+        q = W[k, right] // W[k, k]
+        W[:, right] = (W[:, right] - W[:, k, None] * q) % m
+        V[:, right] = (V[:, right] - V[:, k, None] * q) % m
+        # the remainders are below the pivot, so each retry lowers it
+        if not (W[k + 1:, k].any() or W[k, k + 1:].any()):
+            k += 1
+    return np.diagonal(W).copy(), U, V
 
-    S = np.zeros((rows, cols), dtype=object)
-    for i in range(min(rows, cols)):
-        S[i, i] = A[i][i]
-    return S, np.array(U, dtype=object), np.array(V, dtype=object)
+
+def _bezout(d: np.ndarray, m: int):
+    """Elementwise (g, s) with g = gcd(d, m) and s d = g (mod m), s in [0, m)."""
+    r0, r1 = np.full_like(d, m), d % m
+    s0, s1 = np.zeros_like(d), np.ones_like(d)
+    while (live := r1 > 0).any():
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - q * s1[live]
+    return r0, s0 % m
 
 
 def solve_mod(A, b, m: int):
     """One solution x of A x = b (mod m), or None when none exists.
 
-    The decision is exact: row reduction over Z followed by a Smith normal
-    form of the surviving block, then a diagonal solve mod m.
+    The decision is exact: a row echelon form mod m, a diagonal form
+    U R V = diag(d) of the surviving block R, then the independent
+    congruences d_i z_i = (U c)_i (mod m); x = V z.  Raises UnsupportedSize
+    when max(rows, cols) * m^2 reaches 2^63, the bound that keeps the int64
+    sums in U c, V z and A x exact.
     """
-    A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     m = int(m)
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m == 1:
-        return np.zeros(A.shape[1], dtype=np.int64)
+    if max(np.shape(A)) * m * m >= 1 << 63:
+        raise UnsupportedSize(f"modulus {m} too large for int64 arithmetic "
+                              f"on a {np.shape(A)} system")
+    A = np.asarray(A, dtype=np.int64) % m
+    b = np.asarray(b, dtype=np.int64) % m
 
     R, c, extra = _echelon_carry(A, b, m)
-    if any(int(e) % m for e in extra):
+    if extra.any():
         return None
-    if R.shape[0] == 0:
-        return np.zeros(A.shape[1], dtype=np.int64)
-
-    S, U, V = smith_normal_form(R)
-    cprime = U @ c.astype(object)
-    ncols = R.shape[1]
-    z = [0] * ncols
-    for i in range(R.shape[0]):
-        d = int(S[i, i]) if i < ncols else 0
-        rhs = int(cprime[i]) % m
-        if d == 0:
-            if rhs % m:
-                return None
-            continue
-        g = gcd(d % m if d % m else m, m)
-        if rhs % g:
-            return None
-        mm = m // g
-        if mm > 1:
-            z[i] = (rhs // g) * pow((d // g) % mm, -1, mm) % mm
-    x = V @ np.array(z, dtype=object)
-    x = np.array([int(v) % m for v in x], dtype=np.int64)
-    if ((A.astype(np.int64) @ x - b) % m).any():
+    d, U, V = smith_normal_form(R, m)
+    c = U @ c % m
+    g, s = _bezout(d, m)
+    if (c % g).any():
         return None
+    z = np.zeros(A.shape[1], dtype=np.int64)
+    z[:len(d)] = s * (c // g) % m
+    x = V @ z % m
+    if ((A @ x - b) % m).any():
+        raise CertificateError("solve_mod: the solution fails A x = b (mod m)")
     return x

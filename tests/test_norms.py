@@ -302,15 +302,6 @@ def test_amenability_report_empty():
     assert report.max_rel_gap == 0.0
 
 
-def test_amenability_report_threaded_matches_serial(z3z3):
-    g, sigma = z3z3
-    serial = tw.amenability_report(g, sigma, n_samples=4, seed=1, tol=1e-6)
-    threaded = tw.amenability_report(g, sigma, n_samples=4, seed=1, tol=1e-6,
-                                     max_workers=3)
-    assert [s.b_norm for s in serial.samples] == [s.b_norm for s in threaded.samples]
-    assert [s.cb_norm for s in serial.samples] == [s.cb_norm for s in threaded.samples]
-
-
 def test_bullet_action_is_fs_isometry():
     g = tw.symmetric(3)
     rng = np.random.default_rng(13)

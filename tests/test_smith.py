@@ -1,41 +1,62 @@
 """Exact integer linear algebra: SNF invariants and the mod-m solver."""
 
 import itertools
+import signal
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twista import smith
+from twista.errors import CertificateError
 from twista.smith import smith_normal_form, solve_mod
 
 
-def unimodular(M) -> bool:
-    det = round(float(np.linalg.det(np.asarray(M, dtype=float))))
-    return det in (1, -1)
+def invertible_mod(M, m) -> bool:
+    # exact determinant by elimination over the rationals
+    M = [[Fraction(int(x)) for x in row] for row in M]
+    det = Fraction(1)
+    for k in range(len(M)):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            return False
+        M[k], M[p] = M[p], M[k]
+        det *= M[k][k] if p == k else -M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return gcd(int(det), m) == 1
+
+
+def diagonal_form_holds(A, m, d, U, V) -> bool:
+    rows, cols = A.shape
+    D = np.zeros((rows, cols), dtype=np.int64)
+    D[np.arange(len(d)), np.arange(len(d))] = d
+    return (np.array_equal(U @ A @ V % m, D % m)
+            and invertible_mod(U, m) and invertible_mod(V, m))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_snf_invariants_random(seed):
     rng = np.random.default_rng(seed)
     rows, cols = rng.integers(1, 7, 2)
+    m = int(rng.choice([12, 30, 36, 720]))
     A = rng.integers(-4, 5, (rows, cols))
-    S, U, V = smith_normal_form(A)
-    assert np.array_equal(U @ A.astype(object) @ V, S)
-    assert unimodular(U) and unimodular(V)
-    d = [int(S[i, i]) for i in range(min(rows, cols))]
-    assert all(x >= 0 for x in d)
-    for a, b in zip(d, d[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
+    d, U, V = smith_normal_form(A, m)
+    assert len(d) == min(rows, cols)
+    assert ((0 <= d) & (d < m)).all()
+    assert diagonal_form_holds(A, m, d, U, V)
 
 
 def test_snf_known_case():
+    # over Z the Smith form is diag(2, 2, 156); mod 312 the cokernel has
+    # order prod gcd(d_i, 312), whatever diagonal the reduction reaches
     A = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    S, U, V = smith_normal_form(A)
-    diag = [int(S[i, i]) for i in range(3)]
-    assert diag == [2, 2, 156]
+    d, U, V = smith_normal_form(A, 312)
+    assert diagonal_form_holds(A, 312, d, U, V)
+    assert np.prod(np.gcd(d, 312)) == 2 * 2 * 156
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
@@ -74,13 +95,49 @@ def test_solve_mod_trivial_modulus():
     assert x is not None and not x.any()
 
 
-@given(st.integers(2, 8), st.integers(0, 10**6))
+@given(st.integers(2, 720), st.integers(0, 10**6))
 def test_solve_mod_roundtrip_property(m, seed):
     rng = np.random.default_rng(seed)
-    rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    rows, cols = int(rng.integers(1, 13)), int(rng.integers(1, 11))
     A = rng.integers(-5, 6, (rows, cols))
     x0 = rng.integers(0, m, cols)
     b = (A @ x0) % m
     x = solve_mod(A, b, m)
     assert x is not None
     assert not ((A @ x - b) % m).any()
+
+
+def test_solve_mod_regression_system_finishes():
+    # the Smith form over Z let the entries of this system grow without bound;
+    # mod m they stay below m
+    A = np.array([[0, 0, 6, 5, 0, 0, 1, 0], [-6, 0, 0, 2, -5, -4, -3, 0],
+                  [-6, 0, 0, 0, 0, 3, 0, 0], [4, -1, -2, 0, 0, 0, 4, 0],
+                  [6, -6, 0, 0, 3, 2, 3, -1], [0, 0, 0, -4, 0, 0, -4, 0],
+                  [-6, 0, 0, 0, 0, -6, 0, 0]])
+    b = A @ np.arange(1, 9) % 720
+
+    def overtime(signum, frame):
+        raise TimeoutError("solve_mod ran past its 10 s bound")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.alarm(10)
+    try:
+        x = solve_mod(A, b, 720)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert x is not None and not ((A @ x - b) % 720).any()
+
+
+def test_solve_mod_residual_check_raises(monkeypatch):
+    real = smith.smith_normal_form
+
+    def wrong_v(A, m):
+        d, U, V = real(A, m)
+        V = V.copy()
+        V[0, 0] = (V[0, 0] + 1) % m
+        return d, U, V
+
+    monkeypatch.setattr(smith, "smith_normal_form", wrong_v)
+    with pytest.raises(CertificateError):
+        solve_mod([[1, 0], [0, 1]], [1, 1], 5)

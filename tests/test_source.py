@@ -13,3 +13,23 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCE.is_dir() and not found, found
+
+
+def _is_object_dtype(node) -> bool:
+    # `dtype=object` keywords and `.astype(object)` calls
+    if isinstance(node, ast.keyword):
+        return node.arg == "dtype" and isinstance(node.value, ast.Name) \
+            and node.value.id == "object"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "object")
+
+
+def test_no_object_dtype_arrays_in_the_package():
+    # the exact layer works in int64 mod m; object arrays of Python integers
+    # are a second, unbounded arithmetic
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _is_object_dtype(node)]
+    assert SOURCE.is_dir() and not found, found
