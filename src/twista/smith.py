@@ -37,9 +37,11 @@ def _echelon_carry(A: np.ndarray, b: np.ndarray, m: int):
             p = r + nz[np.argmin(col[nz])]
             if p != r:
                 W[[r, p]] = W[[p, r]]
-            quo = W[r + 1:, j] // W[r, j]
-            W[r + 1:] = (W[r + 1:] - quo[:, None] * W[r][None, :]) % m
-            if not W[r + 1:, j].any():
+            # rows with a zero in column j have quotient 0 and stay as they are
+            below = r + 1 + np.flatnonzero(W[r + 1:, j])
+            quo = W[below, j, None] // W[r, j]
+            W[below] = (W[below] - quo * W[r]) % m
+            if not W[below, j].any():
                 r += 1
                 break
     # rows below the pivot block have zero A-part by construction

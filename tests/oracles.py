@@ -63,3 +63,28 @@ def magma_closure(mul, gens) -> np.ndarray:
         if (grown == reached).all():
             return reached
         reached = grown
+
+
+def echelon_carry_full(A, b, m):
+    """Row echelon reduction of A x = b (mod m) that updates every row below the pivot."""
+    W = np.concatenate([np.asarray(A, dtype=np.int64),
+                        np.asarray(b, dtype=np.int64)[:, None]], axis=1) % m
+    rows, cols = W.shape[0], W.shape[1] - 1
+    r = 0
+    for j in range(cols):
+        if r >= rows:
+            break
+        while True:
+            col = W[r:, j]
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                break
+            p = r + nz[np.argmin(col[nz])]
+            if p != r:
+                W[[r, p]] = W[[p, r]]
+            quo = W[r + 1:, j] // W[r, j]
+            W[r + 1:] = (W[r + 1:] - quo[:, None] * W[r][None, :]) % m
+            if not W[r + 1:, j].any():
+                r += 1
+                break
+    return W[:r, :-1], W[:r, -1], W[r:, -1]

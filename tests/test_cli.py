@@ -1,8 +1,10 @@
 """Command line surface: files, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,13 @@ def workdir(tmp_path):
 
 
 def test_console_entry_point():
+    # the child does not inherit pytest's pythonpath, so point it at the
+    # directory this twista was imported from
+    src = str(Path(tw.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "twista.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert "twista" in out.stdout
 

@@ -1,11 +1,14 @@
 """Solvers: dense linear algebra helpers, the gamma2 SDP, the t2 splitting."""
 
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import twista as tw
 from twista.errors import NotHermitian
+from twista.sdp import _Hermitian
 
 
 def test_operator_and_trace_norm_basics():
@@ -165,6 +168,106 @@ def test_gamma2_solver_failure_carries_partial():
     part = exc.value.partial
     assert part is not None
     assert part.value >= part.dual_value
+
+
+# --- the IPM's Hermitian coordinates and Schur blocks ---
+
+def _complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _gram(basis, K):
+    return basis.gram_congruence(K, np.empty((basis.n ** 2, basis.n ** 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_hvec_is_an_isometry_with_the_diagonal_at_basis_diag(n):
+    rng = np.random.default_rng(n)
+    basis = _Hermitian(n)
+    A, B = _complex(rng, n), _complex(rng, n)
+    H1, H2 = A + A.conj().T, B + B.conj().T
+    assert np.allclose(basis.hmat(basis.hvec(H1)), H1, rtol=0, atol=1e-14)
+    assert abs(basis.hvec(H1) @ basis.hvec(H2)
+               - np.real(np.trace(H1.conj().T @ H2))) <= 1e-12 * n * n
+    assert np.array_equal(basis.hvec(H1)[basis.diag], np.real(np.diag(H1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_gram_congruence_matches_its_definition(n):
+    # column b is hvec(K hmat(e_b) K^H), for Hermitian and general K
+    rng = np.random.default_rng(10 + n)
+    basis = _Hermitian(n)
+    G = _complex(rng, n)
+    for K in (G, G + G.conj().T):
+        want = np.column_stack([basis.hvec(K @ basis.hmat(e) @ K.conj().T)
+                                for e in np.eye(n * n)])
+        got = _gram(basis, K)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(K).max() ** 2)
+        # the adjoint of H -> K H K^H is H -> K^H H K, and the basis is orthonormal
+        assert np.allclose(_gram(basis, K.conj().T), got.T,
+                           rtol=0, atol=1e-12 * np.abs(K).max() ** 2)
+
+
+def test_gram_congruence_writes_into_a_block_of_a_larger_matrix():
+    n = 4
+    nh = n * n
+    basis = _Hermitian(n)
+    K = _complex(np.random.default_rng(4), n)
+    M = np.zeros((2 * nh + 1, 2 * nh + 1))
+    basis.gram_congruence(K, M[:nh, nh:-1])
+    assert np.array_equal(M[:nh, nh:-1], _gram(basis, K))
+    M[:nh, nh:-1] = 0.0
+    assert not M.any()
+
+
+def _benchmark_symbol_z4xz4(seed):
+    g = tw.cyclic_product([4, 4])
+    sigma = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
+    rng = np.random.default_rng([seed, 0])
+    phi = tw.GroupFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    return tw.schur_symbol(phi, tw.trivial_cocycle(g), sigma)
+
+
+# iteration count and value of gamma2(F, tol=1e-6), recorded with the earlier
+# coordinates (real diagonal, then sqrt(2) Re and Im of the upper triangle);
+# the basis change is orthogonal, so the IPM must take the same path.  At
+# seed 1353983473 the clustered singular values of the NT scaling step made
+# LAPACK's gesdd fail to converge on a finite matrix
+_TRAJECTORIES = {
+    "complex n=3": (18, 3.8997021702100456),
+    "complex n=8": (21, 3.6415356910654717),
+    "complex n=16": (16, 4.952602327059255),
+    "Z4xZ4 symbol seed 1": (8, 4.401441717842986),
+    "Z4xZ4 symbol seed 1353983473": (9, 4.977101252655288),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRAJECTORIES))
+def test_gamma2_trajectory_is_pinned(name):
+    if name.startswith("Z4xZ4"):
+        F = _benchmark_symbol_z4xz4(int(name.split()[-1]))
+    else:
+        n = int(name.split("=")[1])
+        F = _complex(np.random.default_rng(n), n)
+    iterations, value = _TRAJECTORIES[name]
+    sol = tw.gamma2(F)
+    assert sol.iterations == iterations
+    assert abs(sol.value - value) <= 1e-9 * value
+
+
+def test_gamma2_schur_working_set_stays_below_three_schur_matrices():
+    # M (m x m doubles) and its Cholesky factor are the floor; the rest of
+    # the assembly must stay small next to them
+    n = 24
+    m = 2 * n * n + 1
+    F = _complex(np.random.default_rng(24), n)
+    tracemalloc.start()
+    try:
+        tw.gamma2(F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * m * m * 8
 
 
 # --- t2 splitting ---

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import twista as tw
+from oracles import echelon_carry_full
 from twista import smith
 from twista.errors import CertificateError
 from twista.smith import smith_normal_form, solve_mod
@@ -141,3 +143,39 @@ def test_solve_mod_residual_check_raises(monkeypatch):
     monkeypatch.setattr(smith, "smith_normal_form", wrong_v)
     with pytest.raises(CertificateError):
         solve_mod([[1, 0], [0, 1]], [1, 1], 5)
+
+
+def _same_reduction(A, b, m):
+    got = smith._echelon_carry(A, b, m)
+    want = echelon_carry_full(A, b, m)
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_skipping_zero_rows_is_bit_identical(seed):
+    # rows with a zero in the pivot column have quotient 0, so leaving them
+    # alone must give the same (R, c, extra) as updating every row below
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        m = int(rng.choice([4, 6, 12, 24, 30, 36, 60, 120, 360, 720]))
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 25))
+        A = rng.integers(-6, 7, (rows, cols)) * (rng.random((rows, cols)) < rng.random())
+        b = rng.integers(0, m, rows)
+        assert _same_reduction(A, b, m)
+
+
+def test_echelon_on_the_s5_coboundary_system_is_bit_identical(monkeypatch):
+    systems = []
+
+    def spy(A, b, m):
+        systems.append((A, b, m))
+        return solve_mod(A, b, m)
+
+    monkeypatch.setattr(tw.cocycles, "solve_mod", spy)
+    g = tw.symmetric(5)
+    twisted, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 6), 6,
+                                            np.random.default_rng(11))
+    assert tw.coboundary_test(twisted, tw.trivial_cocycle(g)) is not None
+    (A, b, m), = systems
+    assert A.shape == (600, 120)
+    assert _same_reduction(A, b, m)
