@@ -292,7 +292,7 @@ def function_from_json(doc: dict, group: Optional[FiniteGroup] = None,
 
 
 def save_function(f: GroupFunction, path) -> None:
-    Path(path).write_text(json.dumps(function_to_json(f), indent=1))
+    Path(path).write_text(json.dumps(function_to_json(f)))
 
 
 def load_function(path, group: Optional[FiniteGroup] = None) -> GroupFunction:

@@ -33,7 +33,7 @@ def _write_json(path, doc) -> None:
     if path is None:
         print(json.dumps(doc, indent=1))
     else:
-        Path(path).write_text(json.dumps(doc, indent=1))
+        Path(path).write_text(json.dumps(doc))
 
 
 def _load_cocycle_arg(arg, group=None) -> cocycles.Cocycle:
@@ -147,7 +147,7 @@ def cmd_norm(args) -> int:
             print(f"solver failure: {exc}", file=sys.stderr)
             return EXIT_SOLVER
     elif args.kind == "littlewood":
-        cert = norms.littlewood_T2_norm(phi, tol=args.tol)
+        cert = norms.littlewood_T2_norm(phi)
     else:
         raise AssertionError(args.kind)
     ms = (time.perf_counter() - t0) * 1e3
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--sigma", required=True)
     nf.add_argument("--group")
     nf.add_argument("-o", "--output")
-    nf.set_defaults(func=cmd_norm, tol=1e-6)
+    nf.set_defaults(func=cmd_norm)
     nm = nsub.add_parser("multiplier")
     nm.add_argument("--phi", required=True)
     nm.add_argument("--sigma1", required=True)
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     nl = nsub.add_parser("littlewood")
     nl.add_argument("--phi", required=True)
     nl.add_argument("--group")
-    nl.add_argument("--tol", type=float, default=1e-5)
     nl.add_argument("-o", "--output")
     nl.set_defaults(func=cmd_norm)
 

@@ -273,7 +273,7 @@ def cocycle_from_json(doc: dict, group: Optional[FiniteGroup] = None,
 
 
 def save_cocycle(c: Cocycle, path) -> None:
-    Path(path).write_text(json.dumps(cocycle_to_json(c), indent=1))
+    Path(path).write_text(json.dumps(cocycle_to_json(c)))
 
 
 def load_cocycle(path, group: Optional[FiniteGroup] = None) -> Cocycle:

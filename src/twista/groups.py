@@ -281,7 +281,7 @@ def group_from_json(doc: dict) -> FiniteGroup:
 
 
 def save_group(group: FiniteGroup, path) -> None:
-    Path(path).write_text(json.dumps(group_to_json(group), indent=1))
+    Path(path).write_text(json.dumps(group_to_json(group)))
 
 
 def load_group(path) -> FiniteGroup:

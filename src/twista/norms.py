@@ -6,7 +6,8 @@ Three norms, three independent computational routes:
   von Neumann algebra (an SVD),
 * the completely bounded multiplier norm as the factorization norm of the
   Schur symbol sigma(t,s) phi(ts) (a semidefinite program),
-* the Littlewood T2 norm as a convex sum-split (a first-order method).
+* the Littlewood T2 norm as a convex sum-split: in closed form on group
+  functions, where it is the l2 norm, and by ADMM on general matrices.
 
 For a finite group the regular representation is faithful on the twisted
 group algebra, so the full and reduced algebras coincide and the trace
@@ -28,7 +29,7 @@ from .algebra import (GroupFunction, TwistedOperator, lift_matrix,
 from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocycle
 from .errors import CertificateError, GroupMismatch, SolverFailure
 from .groups import FiniteGroup, same_group
-from .littlewood import T2Split, t2_split
+from .littlewood import T2Split, max_row_l2, t2_split
 from .sdp import SDPSolution, gamma2
 
 
@@ -125,15 +126,24 @@ def multiplier_apply(phi: GroupFunction, psi: GroupFunction,
     return GroupFunction(G, phi.values * psi.values)
 
 
-def littlewood_norm(psi, tol: float = 1e-5, max_iter: int = 40000) -> T2Split:
-    return t2_split(psi, tol=tol, max_iter=max_iter)
+def littlewood_norm(psi, tol: float = 1e-5) -> T2Split:
+    return t2_split(psi, tol=tol)
 
 
-def littlewood_T2_norm(phi: GroupFunction, tol: float = 1e-5,
-                       max_iter: int = 40000) -> T2Split:
-    """T2 norm of phi: the t2 norm of the matrix f[s, t] = phi(st)."""
-    G = phi.group
-    return littlewood_norm(phi.values[G.mul], tol=tol, max_iter=max_iter)
+def littlewood_T2_norm(phi: GroupFunction) -> T2Split:
+    """T2 norm of phi, the t2 norm of f[s, t] = phi(st), in closed form.
+
+    Every row and every column of f is a permutation of phi, so the split
+    (f, 0) costs ||phi||_2, and c = conj(f) / (n ||phi||_2) has row and
+    column norm sums 1 and pairs with f to ||phi||_2: the split is optimal
+    and c certifies it.
+    """
+    f = phi.values[phi.group.mul]
+    value = max_row_l2(f)
+    c = f.conj() / (f.shape[0] * value) if value else np.zeros_like(f)
+    dual = float(abs(np.sum(c * f)))
+    return T2Split(value=value, psi1=f, psi2=np.zeros_like(f), dual_bound=dual,
+                   gap=value - dual, iterations=0)
 
 
 def schur_action_norm(psi: np.ndarray, contraction: np.ndarray) -> float:

@@ -195,7 +195,7 @@ def test_criterion_5_gamma2_units():
 def test_criterion_6_littlewood_suite():
     t0 = time.perf_counter()
     g = tw.cyclic(4)
-    cert = tw.littlewood_T2_norm(tw.delta(g, 0), tol=1e-5)
+    cert = tw.littlewood_T2_norm(tw.delta(g, 0))
     # sandwich: the explicit one-sided split gives <= 1, the Schur action on
     # the matching permutation matrix gives >= 1
     pattern = (g.mul == 0).astype(float)
@@ -209,7 +209,7 @@ def test_criterion_6_littlewood_suite():
     for k in range(50):
         grp = g if k % 2 else g2
         phi = rand_fn(grp, rng)
-        c = tw.littlewood_T2_norm(phi, tol=1e-5)
+        c = tw.littlewood_T2_norm(phi)
         assert c.value <= phi.norm(2) + 1e-5
 
     psi = rand_fn(g2, rng).values[g2.mul]

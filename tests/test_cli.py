@@ -139,7 +139,9 @@ def test_norm_commands_and_certificates(workdir):
     assert run(["norm", "littlewood", "--phi", fpath, "-o", lout]) == 0
     doc = json.loads(lout.read_text())
     assert abs(doc["value"] - 1.0) <= 1e-4
-    assert doc["iterations"] >= 1 and doc["budget_exhausted"] is False
+    # a closed-form certificate: no solver iterations, and no gap to speak of
+    assert doc["iterations"] == 0 and doc["budget_exhausted"] is False
+    assert doc["gap"] <= 1e-12
 
 
 def test_oversize_multiplier_norm_is_unsupported(workdir):

@@ -204,12 +204,12 @@ def test_cb_norm_stable_under_common_witness_perturbation(z3z3):
 
 def test_littlewood_delta_and_l2_bound():
     g = tw.cyclic(4)
-    cert = tw.littlewood_T2_norm(tw.delta(g, 0), tol=1e-5)
+    cert = tw.littlewood_T2_norm(tw.delta(g, 0))
     assert abs(cert.value - 1.0) <= 1e-4
     rng = np.random.default_rng(10)
     for _ in range(5):
         phi = rand_fn(g, rng)
-        cert = tw.littlewood_T2_norm(phi, tol=1e-5)
+        cert = tw.littlewood_T2_norm(phi)
         assert cert.value <= phi.norm(2) + 1e-5
         assert np.abs(cert.psi1 + cert.psi2 - phi.values[g.mul]).max() < 1e-9
 
@@ -218,12 +218,38 @@ def test_littlewood_schur_action_domination():
     g = tw.cyclic(5)
     rng = np.random.default_rng(11)
     phi = rand_fn(g, rng)
-    cert = tw.littlewood_T2_norm(phi, tol=1e-5)
+    cert = tw.littlewood_T2_norm(phi)
     psi = phi.values[g.mul]
     for _ in range(20):
         A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         A /= np.linalg.svd(A, compute_uv=False)[0]
         assert tw.schur_action_norm(psi, A) <= cert.value + 1e-5
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z3xZ3", "S3", "D4", "S4", "zero"])
+def test_littlewood_closed_form_matches_the_admm(name):
+    g = {"Z4": tw.cyclic(4), "Z3xZ3": tw.cyclic_product([3, 3]),
+         "S3": tw.symmetric(3), "D4": tw.dihedral(4), "S4": tw.symmetric(4),
+         "zero": tw.symmetric(3)}[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    phi = tw.GroupFunction(g, np.zeros(g.order)) if name == "zero" else rand_fn(g, rng)
+    f = phi.values[g.mul]
+    cert = tw.littlewood_T2_norm(phi)
+    admm = tw.t2_split(f, tol=1e-7)
+    assert abs(cert.value - admm.value) <= 1e-6
+    assert abs(cert.dual_bound - admm.dual_bound) <= 1e-6
+    assert np.array_equal(cert.psi1 + cert.psi2, f)
+    assert cert.iterations == 0 and not cert.budget_exhausted
+    assert abs(cert.gap) <= 1e-12 * max(1.0, cert.value)
+    assert abs(cert.value - phi.norm(2)) <= 1e-12 * max(1.0, cert.value)
+    if name == "zero":
+        assert cert.value == cert.dual_bound == 0.0
+        return
+    # the dual witness c = conj(f) / (n ||phi||_2) is feasible and attains the value
+    c = f.conj() / (g.order * cert.value)
+    assert np.linalg.norm(c, axis=1).sum() <= 1 + 1e-12
+    assert np.linalg.norm(c, axis=0).sum() <= 1 + 1e-12
+    assert abs(abs(np.sum(c * f)) - cert.dual_bound) <= 1e-12 * cert.value
 
 
 def test_fs_norm_sandwiched_by_sup_and_l1(z3z3):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import twista as tw
+from twista import littlewood
 from twista.errors import NotHermitian
 from twista.sdp import _Hermitian
 
@@ -306,6 +307,37 @@ def test_t2_split_adds_up_and_certifies():
     assert abs(val - sol.value) < 1e-9
     assert sol.dual_bound <= sol.value + 1e-12
     assert sol.gap <= 1e-5
+
+
+# value, dual bound and iteration count of t2_split(psi) at the default tol,
+# recorded when the ADMM still ended in a supergradient polish of the dual
+# bound; the polish never raised the bound, so dropping it moved nothing
+_T2_PINS = {
+    6: (3.449187095205883, 3.449185361028353, 250),
+    16: (5.6976237635426354, 5.697620665562662, 900),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_T2_PINS))
+def test_t2_split_is_pinned(n):
+    value, dual_bound, iterations = _T2_PINS[n]
+    sol = tw.t2_split(_complex(np.random.default_rng(n), n))
+    assert sol.iterations == iterations
+    assert abs(sol.value - value) <= 1e-12 * value
+    assert abs(sol.dual_bound - dual_bound) <= 1e-12 * value
+    assert not sol.budget_exhausted
+
+
+def test_t2_split_reports_an_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(littlewood, "MAX_ITER", 50)
+    psi = _complex(np.random.default_rng(16), 16)
+    tol = 1e-12
+    sol = tw.t2_split(psi, tol=tol)
+    assert sol.iterations == 50
+    assert sol.budget_exhausted and sol.gap > tol
+    assert sol.value >= sol.dual_bound
+    # psi2 is psi - psi1, so the sum returns psi up to one rounding
+    assert np.abs(sol.psi1 + sol.psi2 - psi).max() <= 1e-15 * np.abs(psi).max()
 
 
 def test_t2_dominates_gamma2():
