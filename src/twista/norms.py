@@ -130,18 +130,37 @@ def littlewood_norm(psi, tol: float = 1e-5) -> T2Split:
     return t2_split(psi, tol=tol)
 
 
+def _t2_dual_witness(f: np.ndarray, value: float) -> np.ndarray:
+    """c = conj(f) / (n value), shrunk by the rounding bound gamma_k of its use.
+
+    gamma_k = k u / (1 - k u) bounds the relative error of k roundings
+    (Higham, ch. 3).  The computed value, a root of a sum of n squares, is
+    within gamma_(n+3) of ||phi||_2 and enters the pairing squared; the
+    scale 1 / (n value) and the entries of c add 3 roundings, and the
+    pairing sum(c * f), as n row sums and then their total, adds 2n + 1.
+    So k = 4n + 16 keeps the computed pairing at most value, and the row
+    and column norm sums of c at most 1 even when computed in floating point.
+    """
+    n = f.shape[0]
+    if not value:
+        return np.zeros_like(f)
+    ku = (4 * n + 16) * np.finfo(float).eps / 2
+    return f.conj() * ((1.0 - ku / (1.0 - ku)) / (n * value))
+
+
 def littlewood_T2_norm(phi: GroupFunction) -> T2Split:
     """T2 norm of phi, the t2 norm of f[s, t] = phi(st), in closed form.
 
     Every row and every column of f is a permutation of phi, so the split
     (f, 0) costs ||phi||_2, and c = conj(f) / (n ||phi||_2) has row and
     column norm sums 1 and pairs with f to ||phi||_2: the split is optimal
-    and c certifies it.
+    and c certifies it.  c is shrunk by a rounding bound, so the computed
+    dual bound never exceeds the value.
     """
     f = phi.values[phi.group.mul]
     value = max_row_l2(f)
-    c = f.conj() / (f.shape[0] * value) if value else np.zeros_like(f)
-    dual = float(abs(np.sum(c * f)))
+    c = _t2_dual_witness(f, value)
+    dual = float(abs(np.sum(c * f, axis=1).sum()))
     return T2Split(value=value, psi1=f, psi2=np.zeros_like(f), dual_bound=dual,
                    gap=value - dual, iterations=0)
 

@@ -19,6 +19,11 @@ gamma2(F).  Lower bounds come from the dual characterization
 evaluated at u, v read off the dual iterate; any unit pair gives a valid
 bound, so the reported gap is a true certificate independent of solver
 internals.
+
+Every dense kernel runs in scipy's OpenBLAS, the library that factors the
+Schur matrix.  numpy links a second OpenBLAS with its own thread pool, whose
+workers keep spinning for a while after each call; on a few cores that
+spinning takes a core from the other library's next call.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular, svd
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import (zgesdd, zgesdd_lwork, zgesvd, zgesvd_lwork, zheevd,
+                                 zheevd_lwork, zpotrf)
 
 from .errors import CertificateError, SolverFailure, UnsupportedSize
 
@@ -91,8 +99,9 @@ class _Hermitian:
         With C = K (x) conj K, C[p, i, q, j] = K_pi conj(K_qj), the entry at
         ((p, q), (i, j)) is Re C[p, i, q, j] + Im C[p, j, q, i].  out may be a
         block of a C-ordered matrix, whose (n, n, n, n) reshape is a view.
-        Two rank-2 BLAS products give the same entries, but made a solve about
-        10% slower at n = 32 (OpenBLAS, 2 cores).
+        Two rank-2 BLAS products (dgemm, in the same OpenBLAS as the rest of
+        the solver) give the same entries, but made a solve 5-10% slower at
+        n = 32 (best of 3 solves, OpenBLAS 0.3.31, 2 cores).
         """
         n = self.n
         C = np.multiply.outer(K, K.conj())
@@ -101,11 +110,45 @@ class _Hermitian:
         return out
 
 
+def _lapack(out):
+    """An f2py LAPACK result without its info; info > 0 raises as numpy does."""
+    *out, info = out
+    if info < 0:
+        raise ValueError(f"LAPACK argument {-info} has an illegal value")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"LAPACK failed with info {info}")
+    return out
+
+
+# numpy's SVD and eigensolvers query LAPACK's optimal workspace; querying it
+# too keeps these results bit-identical to numpy's
+
+def _cholesky(A):
+    return _lapack(zpotrf(A, lower=True))[0]
+
+
+def _svd(A, compute_uv=1, driver=(zgesdd, zgesdd_lwork)):
+    routine, query = driver
+    work, _ = query(*A.shape, compute_uv=compute_uv)
+    return _lapack(routine(A, compute_uv=compute_uv, lwork=int(work.real)))
+
+
+def _eigh(A, compute_v=1):
+    work, iwork, rwork, _ = zheevd_lwork(A.shape[0], compute_v=compute_v, lower=True)
+    return _lapack(zheevd(A, compute_v=compute_v, lower=True, lwork=int(work.real),
+                          liwork=iwork, lrwork=int(rwork)))
+
+
+def _mul(A, B, trans_a=0):
+    """A @ B, or A^H @ B with trans_a=2."""
+    return zgemm(1.0, A, B, trans_a=trans_a)
+
+
 def _psd_max_step(L, D):
     """sup alpha with chol-factored base plus alpha * D staying PSD."""
     M = solve_triangular(L, D, lower=True)
     M = solve_triangular(L, M.conj().T, lower=True).conj().T
-    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    w = _eigh(0.5 * (M + M.conj().T), compute_v=0)[0]
     lo = w.min()
     if lo >= -1e-14:
         return np.inf
@@ -124,11 +167,11 @@ def _dual_trace_bound(F, Zp):
     n = F.shape[0]
     u = np.sqrt(np.clip(np.real(np.diag(Zp[:n, :n])), 0.0, None))
     v = np.sqrt(np.clip(np.real(np.diag(Zp[n:, n:])), 0.0, None))
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = np.sqrt(np.dot(u, u)), np.sqrt(np.dot(v, v))
     if nu == 0.0 or nv == 0.0:
         return 0.0, u, v
     u, v = u / nu, v / nv
-    sv = np.linalg.svd((u[:, None] * F) * v[None, :], compute_uv=False)
+    sv = _svd((u[:, None] * F) * v[None, :], compute_uv=0)[1]
     return float(sv.sum()), u, v
 
 
@@ -176,7 +219,7 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
     b = np.zeros(m)
     b[-1] = 1.0
 
-    c0 = float(np.linalg.norm(F, 2)) * 1.5 + 1.0
+    c0 = float(_svd(F, compute_uv=0)[1].max()) * 1.5 + 1.0
     X = c0 * np.eye(n, dtype=complex)
     Yb = c0 * np.eye(n, dtype=complex)
     t = 2.0 * c0
@@ -193,7 +236,7 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
     for it in range(1, max_iter + 1):
         iters_done = it
         S, s = slack_of(X, Yb, t)
-        gap_inner = float(np.real(np.vdot(Zp, S)) + zl @ s)
+        gap_inner = float(np.real(np.vdot(Zp, S)) + np.dot(zl, s))
         mu = gap_inner / nu_bar
 
         pobj = t
@@ -208,43 +251,43 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
             break
 
         try:
-            LS = np.linalg.cholesky(S)
-            LZ = np.linalg.cholesky(Zp)
+            LS = _cholesky(S)
+            LZ = _cholesky(Zp)
         except np.linalg.LinAlgError:
             ill = True
             break
 
         # NT scaling: W Z W = S; we only need Ginv = W^{-1}
+        T = _mul(LZ, LS, trans_a=2)
         try:
-            U_, sig, Vh_ = np.linalg.svd(LZ.conj().T @ LS)
+            U_, sig, Vh_ = _svd(T)
         except np.linalg.LinAlgError:   # gesdd can fail on clustered values
-            U_, sig, Vh_ = svd(LZ.conj().T @ LS, lapack_driver="gesvd")
+            U_, sig, Vh_ = _svd(T, driver=(zgesvd, zgesvd_lwork))
         Rinv = solve_triangular(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
                                 lower=True, trans="C").conj().T
-        Ginv = Rinv.conj().T @ Rinv
+        Ginv = _mul(Rinv, Rinv, trans_a=2)
         Ginv = 0.5 * (Ginv + Ginv.conj().T)
         winv2 = zl / s
 
-        Lm = None           # free the old factor before the new blocks are built
-        # the X-Y block is the congruence by Ginv's off-diagonal block
-        basis.gram_congruence(Ginv[:n, :n], M[:nh, :nh])
-        basis.gram_congruence(Ginv[n:, n:], M[nh:-1, nh:-1])
-        basis.gram_congruence(Ginv[:n, n:], M[:nh, nh:-1])
-        Mdiag[diags] += winv2
-        M[diags, -1] = -winv2
-        M[-1, -1] = winv2.sum()
-
-        reg = 1e-13 * max(1.0, Mdiag.sum() / m)
-        for _ in range(8):
+        # M.T is Fortran-ordered: potrf reads M's upper triangle as its lower
+        # one and leaves the factor there, so a failed attempt assembles M again
+        Lm = None
+        for attempt in range(8):
+            # the blocks overwrite the last factor, except for its last column
+            M[:, -1] = 0.0
+            # the X-Y block is the congruence by Ginv's off-diagonal block
+            basis.gram_congruence(Ginv[:n, :n], M[:nh, :nh])
+            basis.gram_congruence(Ginv[n:, n:], M[nh:-1, nh:-1])
+            basis.gram_congruence(Ginv[:n, n:], M[:nh, nh:-1])
+            Mdiag[diags] += winv2
+            M[diags, -1] = -winv2
+            M[-1, -1] = winv2.sum()
+            reg = 100.0 * reg if attempt else 1e-13 * max(1.0, Mdiag.sum() / m)
             Mdiag += reg
             try:
-                # M.T is Fortran-ordered: potrf reads M's upper triangle as its
-                # lower one, without a transposed copy
-                Lm = cholesky(M.T, lower=True)
+                Lm = cholesky(M.T, lower=True, overwrite_a=True)
                 break
             except np.linalg.LinAlgError:
-                Mdiag -= reg
-                reg *= 100.0
                 ill = True
         if Lm is None:
             ill = True
@@ -255,7 +298,7 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
         rd = b - adjoint(Zp, zl)
 
         def direction(Rc, rc):
-            Q = Ginv @ Rc @ Ginv
+            Q = _mul(_mul(Ginv, Rc), Ginv)
             q = rc * winv2
             dy = cho_solve((Lm, True), adjoint(Q, q) - rd)
             dX = basis.hmat(dy[:nh])
@@ -265,7 +308,7 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
             dS[:n, :n] = dX
             dS[n:, n:] = dYb
             ds = dt - dy[diags]
-            dZ = Ginv @ (Rc - dS) @ Ginv
+            dZ = _mul(_mul(Ginv, Rc - dS), Ginv)
             dZ = 0.5 * (dZ + dZ.conj().T)
             dz = (rc - ds) * winv2
             return dX, dYb, dt, dS, ds, dZ, dz
@@ -276,7 +319,7 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
         ad = min(1.0, 0.99 * min(_psd_max_step(LZ, dZ), _lp_max_step(zl, dz)))
         a = min(ap, ad)
         gap_aff = (np.real(np.vdot(Zp + a * dZ, S + a * dS))
-                   + (zl + a * dz) @ (s + a * ds))
+                   + np.dot(zl + a * dz, s + a * ds))
         sigma_c = float(np.clip((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8, 0.999))
 
         # corrector with adaptive centering, same factorization
@@ -297,7 +340,7 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
     value = float(t) * scale
     dual_value = best_dual * scale
     gap = value - dual_value
-    w, Q = np.linalg.eigh(0.5 * (S + S.conj().T))
+    w, Q = _eigh(0.5 * (S + S.conj().T))
     w = np.clip(w, 0.0, None)
     keep = w > 1e-14 * max(w.max(), 1.0)
     L = Q[:, keep] * np.sqrt(w[keep])[None, :]

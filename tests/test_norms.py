@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import twista as tw
+from twista import norms
 
 
 def rand_fn(group, rng):
@@ -250,6 +251,24 @@ def test_littlewood_closed_form_matches_the_admm(name):
     assert np.linalg.norm(c, axis=1).sum() <= 1 + 1e-12
     assert np.linalg.norm(c, axis=0).sum() <= 1 + 1e-12
     assert abs(abs(np.sum(c * f)) - cert.dual_bound) <= 1e-12 * cert.value
+
+
+@pytest.mark.parametrize("name", ["Z3xZ3", "S4", "Z4xZ4", "D4", "S5"])
+def test_littlewood_closed_form_gap_is_never_negative(name):
+    # without the rounding allowance in c, 183 of these 1000 functions gave a
+    # dual bound one rounding above the value
+    g = {"Z3xZ3": tw.cyclic_product([3, 3]), "S4": tw.symmetric(4),
+         "Z4xZ4": tw.cyclic_product([4, 4]), "D4": tw.dihedral(4),
+         "S5": tw.symmetric(5)}[name]
+    for seed in range(200):
+        phi = rand_fn(g, np.random.default_rng(seed))
+        cert = tw.littlewood_T2_norm(phi)
+        assert 0.0 <= cert.gap <= 1e-12 * cert.value, seed
+        f = phi.values[g.mul]
+        c = norms._t2_dual_witness(f, cert.value)
+        assert np.linalg.norm(c, axis=1).sum() <= 1.0, seed
+        assert np.linalg.norm(c, axis=0).sum() <= 1.0, seed
+        assert abs(np.sum(c * f)) <= cert.value, seed
 
 
 def test_fs_norm_sandwiched_by_sup_and_l1(z3z3):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import twista as tw
-from twista import littlewood
+from scipy.linalg import cholesky
+
+from twista import littlewood, sdp
 from twista.errors import NotHermitian
 from twista.sdp import _Hermitian
 
@@ -221,11 +223,21 @@ def test_gram_congruence_writes_into_a_block_of_a_larger_matrix():
     assert not M.any()
 
 
-def _benchmark_symbol_z4xz4(seed):
-    g = tw.cyclic_product([4, 4])
-    sigma = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
+def _report_symbol(name, seed):
+    # the symbol of sample 0 of a single-sample amenability report, on a
+    # group and cocycle of the benchmark: a bilinear cocycle on Z4xZ4 and
+    # Z4xZ8, a coboundary twist at root order 4 on S4
+    if name == "S4":
+        g = tw.symmetric(4)
+        twist, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g), 4,
+                                              np.random.default_rng(seed))
+        sigma = tw.normalize_cocycle(twist)[0]
+    else:
+        g = tw.cyclic_product([4, int(name[-1])])
+        sigma = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
     rng = np.random.default_rng([seed, 0])
-    phi = tw.GroupFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    phi = tw.GroupFunction(g, rng.standard_normal(g.order)
+                           + 1j * rng.standard_normal(g.order))
     return tw.schur_symbol(phi, tw.trivial_cocycle(g), sigma)
 
 
@@ -233,20 +245,24 @@ def _benchmark_symbol_z4xz4(seed):
 # coordinates (real diagonal, then sqrt(2) Re and Im of the upper triangle);
 # the basis change is orthogonal, so the IPM must take the same path.  At
 # seed 1353983473 the clustered singular values of the NT scaling step made
-# LAPACK's gesdd fail to converge on a finite matrix
+# LAPACK's gesdd fail to converge on a finite matrix.  The S4 (n = 24) and
+# Z4xZ8 (n = 32) cases were recorded with numpy's LAPACK for the 2n x 2n
+# kernels, before they moved to scipy's
 _TRAJECTORIES = {
     "complex n=3": (18, 3.8997021702100456),
     "complex n=8": (21, 3.6415356910654717),
     "complex n=16": (16, 4.952602327059255),
     "Z4xZ4 symbol seed 1": (8, 4.401441717842986),
     "Z4xZ4 symbol seed 1353983473": (9, 4.977101252655288),
+    "S4 symbol seed 1": (9, 5.032597622682218),
+    "Z4xZ8 symbol seed 1": (9, 5.989406533310112),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TRAJECTORIES))
 def test_gamma2_trajectory_is_pinned(name):
-    if name.startswith("Z4xZ4"):
-        F = _benchmark_symbol_z4xz4(int(name.split()[-1]))
+    if "symbol" in name:
+        F = _report_symbol(name.split()[0], int(name.split()[-1]))
     else:
         n = int(name.split("=")[1])
         F = _complex(np.random.default_rng(n), n)
@@ -269,6 +285,42 @@ def test_gamma2_schur_working_set_stays_below_three_schur_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 3 * m * m * 8
+
+
+def test_gamma2_schur_working_set_stays_below_two_schur_matrices():
+    # the Schur factor overwrites M; what remains is mostly the 0.5 m^2
+    # outer product of one congruence block
+    n = 24
+    m = 2 * n * n + 1
+    F = _complex(np.random.default_rng(24), n)
+    tracemalloc.start()
+    try:
+        tw.gamma2(F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * m * 8
+
+
+def test_gamma2_reassembles_the_schur_matrix_after_a_failed_factorization(monkeypatch):
+    # the failed attempt has already overwritten M with a partial factor, as
+    # LAPACK leaves it; the retry must start again from the assembled matrix
+    F = _complex(np.random.default_rng(3), 8)
+    plain = tw.gamma2(F)
+    calls = []
+
+    def fail_once(a, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 4:
+            cholesky(a, **kwargs)
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a, **kwargs)
+
+    monkeypatch.setattr(sdp, "cholesky", fail_once)
+    sol = tw.gamma2(F)
+    assert len(calls) > 4 and sol.ill_conditioned and not plain.ill_conditioned
+    assert sol.gap <= 1e-6
+    assert abs(sol.value - plain.value) <= 1e-9 * plain.value
 
 
 # --- t2 splitting ---

@@ -33,3 +33,27 @@ def test_no_object_dtype_arrays_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if _is_object_dtype(node)]
     assert SOURCE.is_dir() and not found, found
+
+
+def _numpy_blas_use(node) -> bool:
+    # `a @ b`, `a @= b`, `np.matmul` and any `np.linalg.<fn>` but the exception
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if not isinstance(node, ast.Attribute):
+        return False
+    owner = node.value
+    if isinstance(owner, ast.Name) and owner.id == "np":
+        return node.attr == "matmul"
+    return (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+            and isinstance(owner.value, ast.Name) and owner.value.id == "np"
+            and node.attr != "LinAlgError")
+
+
+def test_sdp_uses_one_blas():
+    # numpy and scipy link separate OpenBLAS builds, each with a thread pool
+    # that spins after a call; the IPM stays in scipy's, which factors M
+    path = SOURCE / "sdp.py"
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _numpy_blas_use(node)]
+    assert not found, found
