@@ -23,7 +23,7 @@ from .errors import (CertificateError, CocycleViolation, DegenerateState,
                      MissingCoefficients, NotCyclicProduct, NotHermitian,
                      NotPositiveDefinite, SolverFailure, TwistaError,
                      UnsupportedSize, ZeroVector)
-from .sdp import Gamma2Problem, SDPSolution, gamma2
+from .sdp import SDPSolution, gamma2
 from .groups import (FiniteGroup, ValidationReport, build_group, cyclic,
                      cyclic_product, dihedral, direct_product, element_order,
                      from_table, load_group, save_group, symmetric,

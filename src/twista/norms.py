@@ -99,7 +99,7 @@ def schur_symbol(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle) -> np.nda
 
 
 def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
-                       tol: float = 1e-6, max_iter: int = 100) -> MultiplierCertificate:
+                       tol: float = 1e-6) -> MultiplierCertificate:
     """Completely bounded (sigma1, sigma2)-multiplier norm of phi.
 
     Equals the Schur multiplier norm of the symbol, computed as its
@@ -107,7 +107,7 @@ def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
     sigma(t,s) phi(ts) = <xi(s), eta(t)> entrywise.
     """
     F = schur_symbol(phi, sigma1, sigma2)
-    sol = gamma2(F, tol=tol, max_iter=max_iter)
+    sol = gamma2(F, tol=tol)
     # gamma2 returns F[i][j] = <xi(j), eta(i)>; transpose the bookkeeping
     xi = sol.eta.conj()
     eta = sol.xi.conj()
@@ -294,9 +294,14 @@ def certificate_to_json(cert, wall_time_ms: Optional[float] = None) -> dict:
     elif isinstance(cert, MultiplierCertificate):
         xi_flat, xi_shape = carr(cert.xi)
         eta_flat, eta_shape = carr(cert.eta)
+        sol = cert.sdp
+        # dual_bound is the trace norm of diag(dual_u) xi eta^H diag(dual_v)
         doc = {"norm": "cb-multiplier", "value": cert.value,
                "dual_bound": cert.dual_bound, "gap": cert.gap,
-               "iterations": cert.sdp.iterations if cert.sdp else None,
+               "iterations": sol.iterations if sol else None,
+               "ill_conditioned": sol.ill_conditioned if sol else None,
+               "dual_u": sol.dual_u.tolist() if sol else None,
+               "dual_v": sol.dual_v.tolist() if sol else None,
                "xi": {"shape": xi_shape, "entries": xi_flat},
                "eta": {"shape": eta_shape, "entries": eta_flat}}
     elif isinstance(cert, T2Split):

@@ -2,17 +2,22 @@
 
 gamma2(F) is the optimum of
 
-    minimize t  subject to  [[X, F], [F^H, Y]] >= 0,  X_ii <= t,  Y_jj <= t,
+    minimize t  subject to  [[X, F], [F^H, Y]] >= 0,  X_ii = Y_jj = t,
 
 whose value equals the (completely) bounded Schur multiplier norm of F.
-The solver is a Nesterov-Todd scaled path-following method on the product
-cone (Hermitian PSD of size 2n) x (nonnegative orthant of size 2n), written
-directly over the complex Hermitian cone.  It is deterministic: no
-randomness, fixed iteration schedule, bitwise-reproducible certificates.
+The usual form only bounds the diagonals, X_ii <= t and Y_jj <= t.  Both have
+the same optimum: adding a nonnegative diagonal to a PSD block matrix keeps it
+PSD, so raising every diagonal entry to t maps a feasible point of the bounded
+form to one of the pinned form with the same t.  The pinned form needs one
+cone, the Hermitian PSD matrices of size 2n.  The solver is a Nesterov-Todd
+scaled path-following method on that cone, written directly over complex
+Hermitian matrices.  It is deterministic: no randomness, fixed iteration
+schedule, bitwise-reproducible certificates.
 
 Certified bounds: the primal block matrix stays exactly feasible (its
-off-diagonal block is the constant F), so t is always an upper bound on
-gamma2(F).  Lower bounds come from the dual characterization
+off-diagonal block is the constant F and every diagonal entry is t), so t is
+always an upper bound on gamma2(F).  Lower bounds come from the dual
+characterization
 
     gamma2(F) = max { || diag(u) F diag(v) ||_S1 : u, v >= 0 unit vectors },
 
@@ -39,22 +44,7 @@ from scipy.linalg.lapack import (zgesdd, zgesdd_lwork, zgesvd, zgesvd_lwork, zhe
 from .errors import CertificateError, SolverFailure, UnsupportedSize
 
 MAX_SIZE = 128
-
-
-@dataclass(frozen=True)
-class Gamma2Problem:
-    F: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.F)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("gamma2 expects a square matrix")
-        if shape[0] > MAX_SIZE:
-            raise UnsupportedSize(f"gamma2 supports n <= {MAX_SIZE}, got {shape[0]}")
-        F = np.ascontiguousarray(self.F, dtype=complex)
-        if not np.isfinite(F).all():
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "F", F)
+MAX_ITER = 100          # interior-point iteration budget
 
 
 @dataclass(frozen=True)
@@ -155,13 +145,6 @@ def _psd_max_step(L, D):
     return -1.0 / lo
 
 
-def _lp_max_step(s, ds):
-    neg = ds < 0
-    if not neg.any():
-        return np.inf
-    return float((-s[neg] / ds[neg]).min())
-
-
 def _dual_trace_bound(F, Zp):
     """Valid lower bound on gamma2(F) from the diagonal of a PSD dual iterate."""
     n = F.shape[0]
@@ -175,15 +158,21 @@ def _dual_trace_bound(F, Zp):
     return float(sv.sum()), u, v
 
 
-def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
+def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     """Compute gamma2(F) with a certified gap <= tol.
 
-    Raises SolverFailure (carrying the partial solution) when the budget is
-    exhausted before the certificate closes.
+    Raises SolverFailure (carrying the partial solution) when MAX_ITER
+    iterations end before the certificate closes.
     """
-    problem = Gamma2Problem(np.asarray(F))
-    F = problem.F
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        raise ValueError("gamma2 expects a square matrix")
     n = F.shape[0]
+    if n > MAX_SIZE:
+        raise UnsupportedSize(f"gamma2 supports n <= {MAX_SIZE}, got {n}")
+    F = np.ascontiguousarray(F, dtype=complex)
+    if not np.isfinite(F).all():
+        raise ValueError("matrix entries must be finite")
     scale = float(np.abs(F).max())
     if scale == 0.0:
         zfac = np.zeros((n, 0), dtype=complex)
@@ -191,40 +180,31 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
                            0, zfac, zfac, False, np.zeros(n), np.zeros(n))
     F = F / scale
 
+    # y = (hvec X, hvec Y, t) and S(y) = [[X, F], [F^H, Y]] + t I, where the
+    # 2n diagonal coordinates of X and Y are pinned to 0: they get unit rows
+    # in the Schur matrix and a zero right-hand side, and every diagonal
+    # entry of S is exactly t
     basis = _Hermitian(n)
     nh = n * n
     m = 2 * nh + 1
-    nu_bar = 4 * n
-    diags = np.concatenate([basis.diag, nh + basis.diag])   # diag X, diag Y in y
+    diags = np.concatenate([basis.diag, nh + basis.diag])
 
-    A0 = np.zeros((2 * n, 2 * n), dtype=complex)
-    A0[:n, n:] = F
-    A0[n:, :n] = F.conj().T
-
-    def slack_of(X, Yb, t):
-        S = A0.copy()
-        S[:n, :n] += X
-        S[n:, n:] += Yb
-        s = t - np.concatenate([np.real(np.diag(X)), np.real(np.diag(Yb))])
-        return S, s
-
-    def adjoint(Q, q):
+    def adjoint(Q):
         out = np.empty(m)
         out[:nh] = basis.hvec(Q[:n, :n])
-        out[nh:2 * nh] = basis.hvec(Q[n:, n:])
-        out[diags] -= q
-        out[-1] = q.sum()
+        out[nh:-1] = basis.hvec(Q[n:, n:])
+        out[diags] = 0.0
+        out[-1] = np.real(np.trace(Q))
         return out
 
     b = np.zeros(m)
     b[-1] = 1.0
 
     c0 = float(_svd(F, compute_uv=0)[1].max()) * 1.5 + 1.0
-    X = c0 * np.eye(n, dtype=complex)
-    Yb = c0 * np.eye(n, dtype=complex)
-    t = 2.0 * c0
-    Zp = np.eye(2 * n, dtype=complex) / (2 * n)
-    zl = np.ones(2 * n) / (2 * n)
+    S = c0 * np.eye(2 * n, dtype=complex)
+    S[:n, n:] = F
+    S[n:, :n] = F.conj().T
+    Zp = np.eye(2 * n, dtype=complex) / (2 * n)     # diagonal with trace 1: dual feasible
 
     best_dual = 0.0
     best_uv = (np.ones(n) / np.sqrt(n), np.ones(n) / np.sqrt(n))
@@ -233,13 +213,12 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
     # Schur complement: only its upper triangle is written, the rest stays 0
     M = np.zeros((m, m))
     Mdiag = M.reshape(-1)[::m + 1]
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         iters_done = it
-        S, s = slack_of(X, Yb, t)
-        gap_inner = float(np.real(np.vdot(Zp, S)) + np.dot(zl, s))
-        mu = gap_inner / nu_bar
+        gap_inner = float(np.real(np.vdot(Zp, S)))
+        mu = gap_inner / (2 * n)
 
-        pobj = t
+        pobj = S[0, 0].real
         bound, u, v = _dual_trace_bound(F, Zp)
         # weak duality, checked on the certified pair: the primal block is
         # exactly feasible and the trace bound is valid for any PSD iterate
@@ -267,21 +246,19 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
                                 lower=True, trans="C").conj().T
         Ginv = _mul(Rinv, Rinv, trans_a=2)
         Ginv = 0.5 * (Ginv + Ginv.conj().T)
-        winv2 = zl / s
+        t_column = adjoint(_mul(Ginv, Ginv))
 
         # M.T is Fortran-ordered: potrf reads M's upper triangle as its lower
         # one and leaves the factor there, so a failed attempt assembles M again
         Lm = None
         for attempt in range(8):
-            # the blocks overwrite the last factor, except for its last column
-            M[:, -1] = 0.0
             # the X-Y block is the congruence by Ginv's off-diagonal block
             basis.gram_congruence(Ginv[:n, :n], M[:nh, :nh])
             basis.gram_congruence(Ginv[n:, n:], M[nh:-1, nh:-1])
             basis.gram_congruence(Ginv[:n, n:], M[:nh, nh:-1])
-            Mdiag[diags] += winv2
-            M[diags, -1] = -winv2
-            M[-1, -1] = winv2.sum()
+            M[:, -1] = t_column
+            M[diags] = M[:, diags] = 0.0
+            Mdiag[diags] = 1.0
             reg = 100.0 * reg if attempt else 1e-13 * max(1.0, Mdiag.sum() / m)
             Mdiag += reg
             try:
@@ -295,52 +272,38 @@ def gamma2(F, tol: float = 1e-6, max_iter: int = 100) -> SDPSolution:
 
         Zi = cho_solve((LZ, True), np.eye(2 * n, dtype=complex))
         Zi = 0.5 * (Zi + Zi.conj().T)
-        rd = b - adjoint(Zp, zl)
+        rd = b - adjoint(Zp)
 
-        def direction(Rc, rc):
-            Q = _mul(_mul(Ginv, Rc), Ginv)
-            q = rc * winv2
-            dy = cho_solve((Lm, True), adjoint(Q, q) - rd)
-            dX = basis.hmat(dy[:nh])
-            dYb = basis.hmat(dy[nh:2 * nh])
-            dt = float(dy[-1])
-            dS = np.zeros((2 * n, 2 * n), dtype=complex)
-            dS[:n, :n] = dX
-            dS[n:, n:] = dYb
-            ds = dt - dy[diags]
+        def direction(Rc):
+            dy = cho_solve((Lm, True), adjoint(_mul(_mul(Ginv, Rc), Ginv)) - rd)
+            dS = dy[-1] * np.eye(2 * n, dtype=complex)
+            dS[:n, :n] += basis.hmat(dy[:nh])
+            dS[n:, n:] += basis.hmat(dy[nh:-1])
             dZ = _mul(_mul(Ginv, Rc - dS), Ginv)
-            dZ = 0.5 * (dZ + dZ.conj().T)
-            dz = (rc - ds) * winv2
-            return dX, dYb, dt, dS, ds, dZ, dz
+            return dS, 0.5 * (dZ + dZ.conj().T)
 
         # predictor
-        dX, dYb, dt, dS, ds, dZ, dz = direction(-S, -s)
-        ap = min(1.0, 0.99 * min(_psd_max_step(LS, dS), _lp_max_step(s, ds)))
-        ad = min(1.0, 0.99 * min(_psd_max_step(LZ, dZ), _lp_max_step(zl, dz)))
+        dS, dZ = direction(-S)
+        ap = min(1.0, 0.99 * _psd_max_step(LS, dS))
+        ad = min(1.0, 0.99 * _psd_max_step(LZ, dZ))
         a = min(ap, ad)
-        gap_aff = (np.real(np.vdot(Zp + a * dZ, S + a * dS))
-                   + np.dot(zl + a * dz, s + a * ds))
+        gap_aff = np.real(np.vdot(Zp + a * dZ, S + a * dS))
         sigma_c = float(np.clip((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8, 0.999))
 
         # corrector with adaptive centering, same factorization
-        dX, dYb, dt, dS, ds, dZ, dz = direction(sigma_c * mu * Zi - S,
-                                                sigma_c * mu / zl - s)
-        ap = min(1.0, 0.98 * min(_psd_max_step(LS, dS), _lp_max_step(s, ds)))
-        ad = min(1.0, 0.98 * min(_psd_max_step(LZ, dZ), _lp_max_step(zl, dz)))
+        dS, dZ = direction(sigma_c * mu * Zi - S)
+        ap = min(1.0, 0.98 * _psd_max_step(LS, dS))
+        ad = min(1.0, 0.98 * _psd_max_step(LZ, dZ))
         if min(ap, ad) < 1e-9:
             ill = True
             break
-        X = X + ap * dX
-        Yb = Yb + ap * dYb
-        t = t + ap * dt
+        S = S + ap * dS
         Zp = 0.5 * ((Zp + ad * dZ) + (Zp + ad * dZ).conj().T)
-        zl = zl + ad * dz
 
-    S, _ = slack_of(X, Yb, t)
-    value = float(t) * scale
+    value = float(S[0, 0].real) * scale
     dual_value = best_dual * scale
     gap = value - dual_value
-    w, Q = _eigh(0.5 * (S + S.conj().T))
+    w, Q = _eigh(S)
     w = np.clip(w, 0.0, None)
     keep = w > 1e-14 * max(w.max(), 1.0)
     L = Q[:, keep] * np.sqrt(w[keep])[None, :]

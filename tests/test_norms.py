@@ -1,5 +1,7 @@
 """Norm pipelines: trace duality, multiplier SDP, Littlewood, cross-checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,26 @@ def test_cb_certificate_reconstruction(z3z3):
     me = np.linalg.norm(cert.eta, axis=1).max()
     assert mx * me <= cert.value + cert.gap + 1e-9
     assert cert.dual_bound <= cert.value
+
+
+def test_cb_certificate_json_recertifies_its_dual_bound():
+    # F = xi eta^H and the unit vectors u, v, all read back from the JSON,
+    # give dual_bound as the trace norm of diag(u) F diag(v)
+    g = tw.symmetric(3)
+    rng = np.random.default_rng(4)
+    sigma, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 4), 4, rng)
+    cert = tw.cb_multiplier_norm(rand_fn(g, rng), tw.trivial_cocycle(g), sigma)
+    doc = json.loads(json.dumps(norms.certificate_to_json(cert)))
+
+    def complex_array(d):
+        z = np.array(d["entries"])
+        return (z[:, 0] + 1j * z[:, 1]).reshape(d["shape"])
+
+    F = complex_array(doc["xi"]) @ complex_array(doc["eta"]).conj().T
+    u, v = np.array(doc["dual_u"]), np.array(doc["dual_v"])
+    bound = np.linalg.svd(u[:, None] * F * v[None, :], compute_uv=False).sum()
+    assert abs(bound - doc["dual_bound"]) <= 1e-8 * doc["dual_bound"]
+    assert doc["ill_conditioned"] is False
 
 
 def test_cb_norm_z2_closed_form():

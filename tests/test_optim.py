@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import twista as tw
 from scipy.linalg import cholesky
@@ -161,16 +162,55 @@ def test_gamma2_rejects_oversize_and_nonsquare():
         tw.gamma2(np.ones((129, 129)))
     with pytest.raises(ValueError):
         tw.gamma2(np.ones((2, 3)))
+    F = np.ones((3, 3))
+    F[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        tw.gamma2(F)
 
 
-def test_gamma2_solver_failure_carries_partial():
+def test_gamma2_solver_failure_carries_partial(monkeypatch):
     rng = np.random.default_rng(8)
     F = rng.standard_normal((6, 6))
+    monkeypatch.setattr(sdp, "MAX_ITER", 3)
     with pytest.raises(tw.SolverFailure) as exc:
-        tw.gamma2(F, tol=1e-13, max_iter=3)
+        tw.gamma2(F, tol=1e-13)
     part = exc.value.partial
     assert part is not None
     assert part.value >= part.dual_value
+
+
+def _sparse_complex(rng, shape):
+    # about 30% of the entries are zero
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z * (rng.random(shape) >= 0.3)
+
+
+def _assert_bracketed(sol, exact):
+    # gamma2 raises unless value - dual_value <= tol; slack is for rounding
+    slack = 1e-12 * max(1.0, exact)
+    assert sol.dual_value - slack <= exact <= sol.value + slack
+
+
+@given(st.integers(1, 8), st.integers(0, 10**6))
+def test_gamma2_of_a_rank_one_matrix_is_the_product_of_max_entries(n, seed):
+    # a b^H factors through rows of length |a_i| and |b_j|, and its entry of
+    # largest modulus is a lower bound
+    rng = np.random.default_rng(seed)
+    a, bv = _sparse_complex(rng, n), _sparse_complex(rng, n)
+    _assert_bracketed(tw.gamma2(np.outer(a, bv.conj())),
+                      np.abs(a).max() * np.abs(bv).max())
+
+
+@given(st.integers(1, 8), st.integers(0, 10**6))
+def test_gamma2_of_a_diagonal_matrix_is_its_max_entry(n, seed):
+    d = _sparse_complex(np.random.default_rng(seed), n)
+    _assert_bracketed(tw.gamma2(np.diag(d)), np.abs(d).max())
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_gamma2_gram_diagonal_is_pinned_to_the_value(n):
+    sol = tw.gamma2(_complex(np.random.default_rng(n), n))
+    assert np.all(np.real(np.diag(sol.gram)) == sol.value)
 
 
 # --- the IPM's Hermitian coordinates and Schur blocks ---
@@ -241,35 +281,54 @@ def _report_symbol(name, seed):
     return tw.schur_symbol(phi, tw.trivial_cocycle(g), sigma)
 
 
-# iteration count and value of gamma2(F, tol=1e-6), recorded with the earlier
-# coordinates (real diagonal, then sqrt(2) Re and Im of the upper triangle);
-# the basis change is orthogonal, so the IPM must take the same path.  At
-# seed 1353983473 the clustered singular values of the NT scaling step made
-# LAPACK's gesdd fail to converge on a finite matrix.  The S4 (n = 24) and
-# Z4xZ8 (n = 32) cases were recorded with numpy's LAPACK for the 2n x 2n
-# kernels, before they moved to scipy's
+# iteration count and value of gamma2(F, tol=1e-6), the diagonals of X and Y
+# pinned to t.  At seed 1353983473 the clustered singular values of the NT
+# scaling step once made LAPACK's gesdd fail to converge on a finite matrix
 _TRAJECTORIES = {
-    "complex n=3": (18, 3.8997021702100456),
-    "complex n=8": (21, 3.6415356910654717),
-    "complex n=16": (16, 4.952602327059255),
-    "Z4xZ4 symbol seed 1": (8, 4.401441717842986),
-    "Z4xZ4 symbol seed 1353983473": (9, 4.977101252655288),
-    "S4 symbol seed 1": (9, 5.032597622682218),
-    "Z4xZ8 symbol seed 1": (9, 5.989406533310112),
+    "complex n=3": (14, 3.8997021709536908),
+    "complex n=8": (13, 3.6415354968464433),
+    "complex n=16": (14, 4.952602339148133),
+    "Z4xZ4 symbol seed 1": (8, 4.401441238235082),
+    "Z4xZ4 symbol seed 1353983473": (8, 4.977101274530765),
+    "S4 symbol seed 1": (8, 5.032597642672036),
+    "Z4xZ8 symbol seed 1": (8, 5.989406562980815),
 }
+
+# the values of the same cases from the solver that bounded the diagonals by
+# t over a second, nonnegative orthant cone (18, 21, 16, 8, 9, 9 and 9
+# iterations); the two forms have the same optimum
+_PARENT_VALUES = {
+    "complex n=3": 3.8997021702100456,
+    "complex n=8": 3.6415356910654717,
+    "complex n=16": 4.952602327059255,
+    "Z4xZ4 symbol seed 1": 4.401441717842986,
+    "Z4xZ4 symbol seed 1353983473": 4.977101252655288,
+    "S4 symbol seed 1": 5.032597622682218,
+    "Z4xZ8 symbol seed 1": 5.989406533310112,
+}
+
+
+def _trajectory_input(name):
+    if "symbol" in name:
+        return _report_symbol(name.split()[0], int(name.split()[-1]))
+    n = int(name.split("=")[1])
+    return _complex(np.random.default_rng(n), n)
 
 
 @pytest.mark.parametrize("name", sorted(_TRAJECTORIES))
 def test_gamma2_trajectory_is_pinned(name):
-    if "symbol" in name:
-        F = _report_symbol(name.split()[0], int(name.split()[-1]))
-    else:
-        n = int(name.split("=")[1])
-        F = _complex(np.random.default_rng(n), n)
     iterations, value = _TRAJECTORIES[name]
-    sol = tw.gamma2(F)
+    sol = tw.gamma2(_trajectory_input(name))
     assert sol.iterations == iterations
     assert abs(sol.value - value) <= 1e-9 * value
+
+
+@pytest.mark.parametrize("name", sorted(_PARENT_VALUES))
+def test_gamma2_agrees_with_the_bounded_diagonal_form(name):
+    old_value = _PARENT_VALUES[name]
+    sol = tw.gamma2(_trajectory_input(name))
+    assert sol.dual_value <= old_value
+    assert abs(sol.value - old_value) <= 1e-6
 
 
 def test_gamma2_schur_working_set_stays_below_three_schur_matrices():
