@@ -2,15 +2,19 @@
 
 t2(psi) = inf { maxrow_l2(psi1) + maxcol_l2(psi2) : psi = psi1 + psi2 }.
 
-Primal splits come from ADMM with unit penalty and exact proximal steps (the
-prox of a max-of-row-norms term is a group soft threshold via projection
-onto the dual ball).  Lower bounds come from the dual characterization
+Primal splits come from ADMM with exact proximal steps (the prox of a
+max-of-row-norms term is a group soft threshold via projection onto the dual
+ball).  Its penalty rho is tuned by residual balancing (Boyd et al., FnT ML
+2011, section 3.4.1): at every certificate check rho doubles when the primal
+residual exceeds MU times the dual one and halves in the opposite case.
+Lower bounds come from the dual characterization
 
     t2(psi) = sup { |<psi, c>| : sum_s ||row_s c||_2 <= 1
                                  and sum_t ||col_t c||_2 <= 1 },
 
 where any feasible c certifies, so the reported gap is a true certificate.
-The dual candidate is the ADMM multiplier, rescaled into the feasible set.
+The dual candidate is the ADMM multiplier -rho * U, rescaled into the
+feasible set.
 On group functions the norm has a closed form (``norms.littlewood_T2_norm``).
 """
 
@@ -24,6 +28,8 @@ from .errors import SolverFailure
 
 CHECK_EVERY = 50        # ADMM steps between certificate checks
 MAX_ITER = 40000        # ADMM step budget
+MU, TAU = 10.0, 2.0     # residual balancing: scale rho by TAU when one
+                        # residual exceeds MU times the other
 
 
 @dataclass(frozen=True)
@@ -51,32 +57,17 @@ def max_col_l2(M) -> float:
     return float(np.sqrt((np.abs(M) ** 2).sum(axis=0)).max())
 
 
-def _project_l1_ball(r: np.ndarray) -> np.ndarray:
-    """Scales for projecting a vector of nonnegative magnitudes onto the l1 ball."""
-    total = r.sum()
-    if total <= 1.0:
-        return np.ones_like(r)
+def _ball_scales(r: np.ndarray, radius: float):
+    """Scales that project magnitudes r >= 0 onto the l1 ball of the given
+    radius, or None when r is already inside it."""
+    if r.sum() <= radius:
+        return None
     u = np.sort(r)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.arange(1, r.size + 1)
-    cond = u - css / k > 0
-    rho = np.max(np.flatnonzero(cond)) + 1
-    tau = css[rho - 1] / rho
-    shrunk = np.clip(r - tau, 0.0, None)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scales = np.where(r > 0, shrunk / np.where(r > 0, r, 1.0), 0.0)
-    return scales
-
-
-def _project_row_dual_ball(C: np.ndarray) -> np.ndarray:
-    """Project onto { C : sum_s ||row_s||_2 <= 1 } (group-l1 over rows)."""
-    r = np.sqrt((np.abs(C) ** 2).sum(axis=1))
-    return C * _project_l1_ball(r)[:, None]
-
-
-def _project_col_dual_ball(C: np.ndarray) -> np.ndarray:
-    r = np.sqrt((np.abs(C) ** 2).sum(axis=0))
-    return C * _project_l1_ball(r)[None, :]
+    css = np.cumsum(u) - radius
+    # u_k > css_k / k holds exactly for a prefix of k, so counting finds its end
+    p = np.count_nonzero(u - css / np.arange(1, r.size + 1) > 0)
+    tau = css[p - 1] / p
+    return np.divide(np.maximum(r - tau, 0.0), r, out=np.zeros_like(r), where=r > 0)
 
 
 def _dual_feasible(C: np.ndarray) -> np.ndarray:
@@ -99,24 +90,35 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
         return T2Split(0.0, z, z, 0.0, 0.0, 0)
     P = psi / scale
 
-    # the prox of maxrow_l2 at V is V minus the projection of V onto the
-    # dual ball (Moreau), and likewise for columns
+    # the prox of maxrow_l2 / rho at V is V minus the projection of V onto
+    # the dual ball of radius 1 / rho (Moreau), and likewise for columns
     psi2 = 0.5 * P
     U = np.zeros_like(P)
+    rho = 1.0
     best_value, best_psi1, best_dual = np.inf, psi2, 0.0
     for it in range(1, MAX_ITER + 1):
         V = P - psi2 - U
-        psi1 = V - _project_row_dual_ball(V)
+        s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=1)), 1.0 / rho)
+        psi1 = np.zeros_like(V) if s is None else V - V * s[:, None]
         V = P - psi1 - U
-        psi2 = V - _project_col_dual_ball(V)
+        s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=0)), 1.0 / rho)
+        prev, psi2 = psi2, np.zeros_like(V) if s is None else V - V * s[None, :]
         U = U + psi1 + psi2 - P
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             cand = max_row_l2(psi1) + max_col_l2(P - psi1)
             if cand < best_value:
                 best_value, best_psi1 = cand, psi1
-            best_dual = max(best_dual, abs(np.vdot(_dual_feasible(-U), P)))
+            # the multiplier is rho * U; its negative, rescaled, is dual feasible
+            best_dual = max(best_dual, abs(np.vdot(_dual_feasible(-rho * U), P)))
             if best_value - best_dual <= 0.5 * tol / scale:
                 break
+            # residual balancing; TAU is a power of two, so U rescales exactly
+            rp = np.linalg.norm(psi1 + psi2 - P)
+            rd = rho * np.linalg.norm(psi2 - prev)
+            if rp > MU * rd:
+                rho, U = rho * TAU, U / TAU
+            elif rd > MU * rp:
+                rho, U = rho / TAU, U * TAU
 
     value = best_value * scale
     dual = best_dual * scale

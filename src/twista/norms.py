@@ -281,8 +281,7 @@ def amenability_report(group: FiniteGroup, sigma: Cocycle, n_samples: int,
 def certificate_to_json(cert, wall_time_ms: Optional[float] = None) -> dict:
     """JSON form of any of the three certificates, witnesses included."""
     def carr(a):
-        a = np.asarray(a)
-        return [[float(z.real), float(z.imag)] for z in a.reshape(-1)], list(a.shape)
+        return np.asarray(a, complex).reshape(-1, 1).view(float).tolist(), list(np.shape(a))
 
     if isinstance(cert, FourierStieltjesCertificate):
         flat, shape = carr(cert.dual_element.matrix)

@@ -1,7 +1,9 @@
-"""Independent slow routes kept as test oracles for the exact cohomology code.
+"""Independent slow routes kept as test oracles.
 
-Each one works on the whole table, with no generating-set reduction and no
-class-function shortcut, so agreement with the package is a real check.
+The cohomology oracles work on the whole table, with no generating-set
+reduction and no class-function shortcut, so agreement with the package is a
+real check.  The l1-ball projection is a plainer form of
+``littlewood._ball_scales`` at radius 1, which must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -88,3 +90,20 @@ def echelon_carry_full(A, b, m):
                 r += 1
                 break
     return W[:r, :-1], W[:r, -1], W[r:, -1]
+
+
+def project_l1_ball(r):
+    """Scales for projecting a vector of nonnegative magnitudes onto the l1 ball."""
+    total = r.sum()
+    if total <= 1.0:
+        return np.ones_like(r)
+    u = np.sort(r)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.arange(1, r.size + 1)
+    cond = u - css / k > 0
+    rho = np.max(np.flatnonzero(cond)) + 1
+    tau = css[rho - 1] / rho
+    shrunk = np.clip(r - tau, 0.0, None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scales = np.where(r > 0, shrunk / np.where(r > 0, r, 1.0), 0.0)
+    return scales

@@ -136,6 +136,19 @@ def test_cb_certificate_json_recertifies_its_dual_bound():
     assert doc["ill_conditioned"] is False
 
 
+@pytest.mark.parametrize("kind", ["complex", "real", "empty"])
+def test_certificate_json_entries_match_the_per_entry_form(kind):
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    z[0, 0], z[1, 1] = -0.0, complex(0.0, -0.0)
+    a = {"complex": z.T, "real": z.real, "empty": np.zeros((0, 3))}[kind]
+    cert = tw.T2Split(1.0, a, a, 1.0, 0.0, 0)
+    doc = norms.certificate_to_json(cert)
+    per_entry = [[float(w.real), float(w.imag)] for w in np.asarray(a).reshape(-1)]
+    assert doc["psi1"] == {"shape": list(a.shape), "entries": per_entry}
+    assert json.dumps(doc["psi1"]["entries"]) == json.dumps(per_entry)
+
+
 def test_cb_norm_z2_closed_form():
     """On Z_2 the multiplier norm is the l1 norm of the character transform."""
     g = tw.cyclic(2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twista as tw
+from oracles import project_l1_ball
 from scipy.linalg import cholesky
 
 from twista import littlewood, sdp
@@ -420,13 +421,18 @@ def test_t2_split_adds_up_and_certifies():
     assert sol.gap <= 1e-5
 
 
-# value, dual bound and iteration count of t2_split(psi) at the default tol,
-# recorded when the ADMM still ended in a supergradient polish of the dual
-# bound; the polish never raised the bound, so dropping it moved nothing
+# value, dual bound and iteration count of t2_split(psi) at the default tol;
+# n = 6 closes before the penalty first moves, so the adaptive penalty leaves
+# its value from the fixed unit penalty unchanged
 _T2_PINS = {
     6: (3.449187095205883, 3.449185361028353, 250),
-    16: (5.6976237635426354, 5.697620665562662, 900),
+    16: (5.69762377800187, 5.697621871164705, 500),
+    32: (8.125862958405884, 8.125858188907939, 1100),
 }
+
+# value and dual bound of the n = 16 case under the fixed unit penalty (900
+# steps); both runs certify, so each bracket must contain the other's norm
+_UNIT_PENALTY_T2_16 = (5.6976237635426354, 5.697620665562662)
 
 
 @pytest.mark.parametrize("n", sorted(_T2_PINS))
@@ -437,6 +443,78 @@ def test_t2_split_is_pinned(n):
     assert abs(sol.value - value) <= 1e-12 * value
     assert abs(sol.dual_bound - dual_bound) <= 1e-12 * value
     assert not sol.budget_exhausted
+
+
+def test_t2_split_brackets_agree_with_the_unit_penalty():
+    old_value, old_dual = _UNIT_PENALTY_T2_16
+    sol = tw.t2_split(_complex(np.random.default_rng(16), 16))
+    assert sol.dual_bound <= old_value
+    assert old_dual <= sol.value
+
+
+def test_t2_split_closes_on_a_sparse_matrix():
+    # with the unit penalty this case spent all 40000 steps at a gap of 1.38e-5
+    rng = np.random.default_rng([4, 12, 8])
+    psi = _complex(rng, 12) * (rng.random((12, 12)) < 0.3)
+    sol = tw.t2_split(psi, tol=1e-5)
+    assert not sol.budget_exhausted and sol.gap <= 1e-5
+    assert sol.iterations < littlewood.MAX_ITER
+
+
+def _t2_case(kind, n, rng):
+    z = _complex(rng, n)
+    if kind == "rank one":
+        return np.outer(z[0], z[1])
+    if kind == "zero row":
+        z[n // 2] = 0
+    elif kind == "row scaled":
+        z *= 10.0 ** rng.uniform(-4, 4, (n, 1))
+    elif kind == "sparse":
+        z *= rng.random((n, n)) < 0.3
+    elif kind == "all ones":
+        z = np.ones((n, n))
+    return z
+
+
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("kind", ["gaussian", "rank one", "zero row",
+                                  "row scaled", "sparse", "all ones"])
+def test_t2_split_closes_on_every_kind(kind, n):
+    psi = _t2_case(kind, n, np.random.default_rng([n, len(kind)]))
+    sol = tw.t2_split(psi)
+    assert not sol.budget_exhausted and sol.gap <= 1e-5
+    assert np.abs(sol.psi1 + sol.psi2 - psi).max() <= 1e-15 * np.abs(psi).max()
+    assert sol.dual_bound <= sol.value
+
+
+_magnitudes = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([0.125, 0.5, 1.0, 3.0]),
+              st.floats(0.0, 4.0, allow_subnormal=False)),
+    min_size=1, max_size=12)
+
+
+@given(_magnitudes, st.booleans())
+def test_ball_scales_match_the_unit_ball_oracle(r, inside):
+    r = np.array(r)
+    if inside:
+        r = r / (r.sum() + 1.0)
+    s = littlewood._ball_scales(r, 1.0)
+    if s is None:
+        assert r.sum() <= 1.0
+        s = np.ones_like(r)
+    assert np.array_equal(s, project_l1_ball(r))
+
+
+@given(_magnitudes, st.sampled_from([1e-3, 0.1, 1 / 3, 2.0, 7.5]))
+def test_ball_scales_project_into_the_ball(r, radius):
+    r = np.array(r)
+    s = littlewood._ball_scales(r, radius)
+    if s is None:
+        assert r.sum() <= radius
+        return
+    assert np.all((0.0 <= s) & (s <= 1.0))
+    rounding = 4 * r.size * np.finfo(float).eps * r.sum()
+    assert abs((r * s).sum() - radius) <= rounding
 
 
 def test_t2_split_reports_an_exhausted_budget(monkeypatch):
