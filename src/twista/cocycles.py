@@ -51,8 +51,9 @@ class Cocycle:
         """Embed into a larger compatible root order (new_m multiple of m)."""
         if new_m % self.m:
             raise ValueError("new root order must be a multiple of the old one")
-        k = new_m // self.m
-        return Cocycle(self.group, new_m, self.exponents * k)
+        if new_m == self.m:
+            return self
+        return Cocycle(self.group, new_m, self.exponents * (new_m // self.m))
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,18 @@ def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
     out += [("normalization", (0, int(t))) for t in np.flatnonzero(e[0, :])]
     if out:
         return out[:limit]
-    S = grp.generating_set(mul)
-    lhs = (e[S, :, None] + e[mul[S], :]) % m         # sigma(s,t) sigma(st,r)
-    rhs = (e[S][:, mul] + e[None, :, :]) % m         # sigma(s,tr) sigma(t,r)
-    return [("identity", (int(S[i]), int(t), int(r)))
-            for i, t, r in np.argwhere(lhs != rhs)[:limit]]
+    # one generator at a time, so the work arrays stay n x n
+    for s in grp.generating_set(mul):
+        defect = e[mul[s]]                           # sigma(st, r)
+        defect += e[s, :, None]                      # sigma(s, t)
+        defect -= e[s][mul]                          # sigma(s, tr)
+        defect -= e                                  # sigma(t, r)
+        defect %= m
+        out += [("identity", (int(s), int(t), int(r)))
+                for t, r in np.argwhere(defect)[:limit - len(out)]]
+        if len(out) >= limit:
+            break
+    return out
 
 
 def validate_cocycle(table, m: int, group: FiniteGroup) -> Cocycle:
@@ -218,6 +226,34 @@ def normalize_cocycle(tau: Cocycle):
     return sigma, xi
 
 
+def _tree_coordinates(mul, S, d, L: int):
+    """(a, b) with xi(g) = a[g] . xi(S) + b[g] (mod L) for every solution xi.
+
+    Walks the left Cayley graph of S breadth-first from S itself, one level
+    per numpy step.  Each new g = s_j t takes the equation of its tree edge,
+    xi(g) = xi(s_j) + xi(t) - d(s_j, t): a[g] = a[t] + e_j, b[g] = b[t] - d.
+    """
+    n, k = len(mul), len(S)
+    a = np.zeros((n, k), dtype=np.int64)
+    b = np.zeros(n, dtype=np.int64)
+    a[S, np.arange(k)] = 1
+    seen = np.zeros(n, dtype=bool)
+    seen[S] = True
+    frontier = S
+    while frontier.size:
+        g = mul[S[:, None], frontier].ravel()        # s_j t, j-major
+        fresh = np.flatnonzero(~seen[g])
+        g, first = np.unique(g[fresh], return_index=True)
+        j, i = np.divmod(fresh[first], frontier.size)
+        t = frontier[i]
+        a[g] = a[t]
+        a[g, j] += 1
+        b[g] = (b[t] - d[S[j], t]) % L
+        seen[g] = True
+        frontier = g
+    return a, b
+
+
 def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     """Exact similarity decision: xi with c1 = (coboundary of xi) * c2, or None.
 
@@ -227,22 +263,30 @@ def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     Only the rows with s in a generating set S enter the system, |S| * n rows
     instead of n^2: once d = c1 / c2 is checked to be a normalized cocycle,
     d' = d - delta xi vanishing on S x G gives d'(sb, c) = d'(b, c), so d' = 0.
+    The unknowns are z = xi(S), |S| of them instead of n.  A spanning tree of
+    the left Cayley graph writes xi = a z + b, because each tree edge is one
+    of the rows; every solution xi is therefore fixed by z, and substituting
+    xi = a z + b into the |S| * n rows (where the tree edges become 0 = 0 and
+    the row for s = e forces xi(e) = 0) loses no solution and adds none.
     """
     group = grp.same_group(c1, c2)
     L = lcm(c1.m, c2.m)
     e1 = c1.rescaled(L).exponents
-    d = (e1 - c2.rescaled(L).exponents) % L
+    d = e1 - c2.rescaled(L).exponents
+    d %= L
     bad = cocycle_violations(d, L, group)
     if bad:
         raise CocycleViolation(f"c1 / c2 is not a normalized cocycle, first: {bad[0]}", bad)
-    n = group.order
-    s, t = grp.generating_set(group.mul)[:, None], np.arange(n)
-    eye = np.eye(n, dtype=np.int64)
-    A = (eye[s] + eye[t] - eye[group.mul[s, t]]).reshape(-1, n)
-    x = solve_mod(A, d[s, t].ravel(), L)
-    if x is None:
+    mul = group.mul
+    S = grp.generating_set(mul)
+    a, b = _tree_coordinates(mul, S, d, L)
+    st = mul[S]
+    A = (np.eye(len(S), dtype=np.int64)[:, None] + a - a[st]).reshape(-1, len(S))
+    z = solve_mod(A, (d[S] - b + b[st]).ravel(), L)
+    if z is None:
         return None
-    xi = CoboundaryWitness(group, L, x)
+    # each term is below L^2, so the sum stays inside solve_mod's int64 bound
+    xi = CoboundaryWitness(group, L, (a % L) @ z + b)
     if not np.array_equal(similarity_apply(c2, xi).exponents, e1):
         raise CertificateError("coboundary witness does not map c2 onto c1")
     return xi

@@ -1,6 +1,7 @@
 """Cocycle validation, constructions, similarity, and the coboundary decision."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 import twista as tw
 from twista.errors import CocycleViolation, NotCyclicProduct
 from twista.smith import solve_mod
+
+from oracles import coboundary_solution_full
 
 
 def brute_force_identity(expo, m, g):
@@ -163,9 +166,10 @@ def test_coboundary_test_identical_cocycles(suite_groups):
 
 def test_coboundary_test_rejects_a_wrong_witness(monkeypatch):
     c = tw.trivial_cocycle(tw.cyclic(3), 4)
-    # xi = (0, 1, 0) has coboundary 2 at (1, 1), so it does not relate c to c
+    # z = xi(S) = (0, 1) on S = {0, 1} extends along the tree to xi = (0, 1, 2),
+    # whose coboundary is 3 at (1, 2), so it does not relate c to c
     monkeypatch.setattr(tw.cocycles, "solve_mod",
-                        lambda A, b, m: np.array([0, 1, 0], dtype=np.int64))
+                        lambda A, b, m: np.array([0, 1], dtype=np.int64))
     with pytest.raises(tw.CertificateError):
         tw.coboundary_test(c, c)
 
@@ -302,10 +306,10 @@ def test_coboundary_test_refuses_a_non_cocycle(monkeypatch):
 
 def test_coboundary_system_on_s5_has_at_most_log_n_row_blocks(monkeypatch):
     g = tw.symmetric(5)
-    rows = []
+    shapes = []
 
     def spy(A, b, m):
-        rows.append(len(A))
+        shapes.append(np.shape(A))
         return solve_mod(A, b, m)
 
     monkeypatch.setattr(tw.cocycles, "solve_mod", spy)
@@ -313,7 +317,9 @@ def test_coboundary_system_on_s5_has_at_most_log_n_row_blocks(monkeypatch):
                                             np.random.default_rng(5))
     assert tw.coboundary_test(twisted, tw.trivial_cocycle(g)) is not None
     n = g.order
-    assert rows and rows[0] <= (int(np.log2(n)) + 1) * n   # 7 * 120 = 840
+    (rows, cols), = shapes
+    assert rows <= (int(np.log2(n)) + 1) * n   # 7 * 120 = 840
+    assert cols <= int(np.log2(n)) + 1         # the unknowns are xi(S)
 
 
 _PERTURB_BUILDERS = dict(_SMALL_BUILDERS, D4=lambda: tw.dihedral(4),
@@ -337,3 +343,71 @@ def test_generator_identity_check_matches_brute_force(name, seed):
         assert kind == "identity"
         assert ((expo[s, t] + expo[g.mul[s, t], r] - expo[s, g.mul[t, r]] - expo[t, r])
                 % m)
+
+
+def _z2_5():
+    g = tw.cyclic_product([2] * 5)
+    return g, np.arange(g.order) % 2               # the last coordinate
+
+
+def _relabelled_s4():
+    # an isomorphic copy with every label but the identity's moved, so the
+    # generating set and the breadth-first order differ from symmetric(4)
+    g = tw.symmetric(4)
+    p = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(g.order - 1)])
+    q = np.argsort(p)
+    parity = np.array([sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+                       for perm in itertools.permutations(range(4))])
+    return tw.from_table(p[g.mul[np.ix_(q, q)]]), parity[q]
+
+
+@pytest.mark.parametrize("m", [4, 6, 12, 36])
+@pytest.mark.parametrize("build", [_z2_5, _relabelled_s4], ids=["Z2^5", "S4-relabelled"])
+def test_coboundary_decision_matches_the_full_system(build, m):
+    """The |S|-unknown decision agrees with the n^2 x n system at the same modulus."""
+    g, x = build()
+    rng = np.random.default_rng(m)
+    # k x(s) x(t) for a homomorphism x onto Z2 is a cocycle; at even m it is
+    # a coboundary over mu_m exactly when k is even
+    carries = [tw.validate_cocycle(k * np.outer(x, x), m, g) for k in (0, 1, 2, 3)]
+    if g.order == 32:
+        carries.append(tw.bilinear_cocycle(g, np.triu(np.ones((5, 5), int), 1),
+                                           orders=[2] * 5, m=2).rescaled(m))
+    answers = set()
+    for c1 in carries:
+        twisted, _ = tw.random_coboundary_twist(c1, m, rng)
+        for c2 in carries:
+            xi = tw.coboundary_test(twisted, c2)
+            assert (xi is None) == (coboundary_solution_full(twisted, c2) is None)
+            answers.add(xi is None)
+    assert answers == {True, False}
+
+
+def _peak_in_n2_doubles(fn, n):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def z6_cubed():
+    g = tw.cyclic_product([6, 6, 6])
+    c = tw.bilinear_cocycle(g, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    twisted, _ = tw.random_coboundary_twist(c, 4, np.random.default_rng(0))
+    return g, c, twisted
+
+
+def test_identity_check_works_in_n2_memory(z6_cubed):
+    g, _, twisted = z6_cubed
+    table = twisted.exponents.copy()
+    assert _peak_in_n2_doubles(lambda: tw.validate_cocycle(table, twisted.m, g),
+                               g.order) < 4
+
+
+def test_coboundary_test_works_in_n2_memory(z6_cubed):
+    g, c, twisted = z6_cubed
+    for c1, c2 in [(twisted, c), (c, tw.trivial_cocycle(g, 4))]:
+        assert _peak_in_n2_doubles(lambda: tw.coboundary_test(c1, c2), g.order) < 8

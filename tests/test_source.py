@@ -1,6 +1,7 @@
 """Source-level guards on the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "twista"
@@ -56,4 +57,24 @@ def test_sdp_uses_one_blas():
     found = [f"{path.name}:{node.lineno}"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if _numpy_blas_use(node)]
+    assert not found, found
+
+
+def _imported_roots(path):
+    # top-level names of absolute imports; relative ones stay in the package
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0]
+
+
+def test_exact_layer_imports_only_numpy():
+    # groups, cocycles and smith stay on numpy int64: a graph or sparse
+    # library would add its import time to every start and its memory to RSS
+    allowed = {"numpy", "twista"} | set(sys.stdlib_module_names)
+    found = [f"{name}.py: {root}"
+             for name in ("groups", "cocycles", "smith")
+             for root in _imported_roots(SOURCE / f"{name}.py")
+             if root not in allowed]
     assert not found, found
