@@ -23,7 +23,6 @@ from .errors import (CertificateError, CocycleViolation, DegenerateState,
                      MissingCoefficients, NotCyclicProduct, NotHermitian,
                      NotPositiveDefinite, SolverFailure, TwistaError,
                      UnsupportedSize, ZeroVector)
-from .sdp import SDPSolution, gamma2
 from .groups import (FiniteGroup, ValidationReport, build_group, cyclic,
                      cyclic_product, dihedral, direct_product, element_order,
                      from_table, load_group, save_group, symmetric,
@@ -41,3 +40,11 @@ from .positivity import (GNSResult, PDKernel, autocorrelation_pd, coefficient,
                          positive_type_value)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # as in norms: SDPSolution and gamma2 import sdp, hence scipy, on first use
+    if name in ("SDPSolution", "gamma2"):
+        from . import sdp
+        return getattr(sdp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

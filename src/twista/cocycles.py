@@ -78,6 +78,8 @@ class CoboundaryWitness:
     def rescaled(self, new_m: int) -> "CoboundaryWitness":
         if new_m % self.m:
             raise ValueError("new root order must be a multiple of the old one")
+        if new_m == self.m:
+            return self
         return CoboundaryWitness(self.group, new_m, self.xi * (new_m // self.m))
 
     def inverse(self) -> "CoboundaryWitness":
@@ -89,7 +91,9 @@ def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
 
     The identity is checked on S x G x G for a generating set S: its defect
     F = delta e has delta F = 0, so F(sb, c, d) = F(b, c, d) once F vanishes
-    on S.  Violations are reported as real (s, t, r) triples.
+    on S.  S[0] = 0 is the identity, and it is skipped: once the
+    normalization rows pass, F(0, t, r) = e(0, t) - e(0, tr) = 0.
+    Violations are reported as real (s, t, r) triples.
     """
     expo = np.asarray(table, dtype=np.int64)
     n = group.order
@@ -102,7 +106,7 @@ def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
     if out:
         return out[:limit]
     # one generator at a time, so the work arrays stay n x n
-    for s in grp.generating_set(mul):
+    for s in group.generators[1:]:
         defect = e[mul[s]]                           # sigma(st, r)
         defect += e[s, :, None]                      # sigma(s, t)
         defect -= e[s][mul]                          # sigma(s, tr)
@@ -226,31 +230,18 @@ def normalize_cocycle(tau: Cocycle):
     return sigma, xi
 
 
-def _tree_coordinates(mul, S, d, L: int):
+def _tree_coordinates(group: FiniteGroup, d, L: int):
     """(a, b) with xi(g) = a[g] . xi(S) + b[g] (mod L) for every solution xi.
 
-    Walks the left Cayley graph of S breadth-first from S itself, one level
-    per numpy step.  Each new g = s_j t takes the equation of its tree edge,
-    xi(g) = xi(s_j) + xi(t) - d(s_j, t): a[g] = a[t] + e_j, b[g] = b[t] - d.
+    Sweeps the group's cached Cayley tree level by level: each new g = s_j t
+    takes the equation of its tree edge, xi(g) = xi(s_j) + xi(t) - d(s_j, t),
+    so b[g] = b[t] - d(s_j, t); a depends on the group alone.
     """
-    n, k = len(mul), len(S)
-    a = np.zeros((n, k), dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    a[S, np.arange(k)] = 1
-    seen = np.zeros(n, dtype=bool)
-    seen[S] = True
-    frontier = S
-    while frontier.size:
-        g = mul[S[:, None], frontier].ravel()        # s_j t, j-major
-        fresh = np.flatnonzero(~seen[g])
-        g, first = np.unique(g[fresh], return_index=True)
-        j, i = np.divmod(fresh[first], frontier.size)
-        t = frontier[i]
-        a[g] = a[t]
-        a[g, j] += 1
+    a, levels = group.cayley_tree
+    S = group.generators
+    b = np.zeros(group.order, dtype=np.int64)
+    for g, j, t in levels:
         b[g] = (b[t] - d[S[j], t]) % L
-        seen[g] = True
-        frontier = g
     return a, b
 
 
@@ -277,10 +268,9 @@ def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     bad = cocycle_violations(d, L, group)
     if bad:
         raise CocycleViolation(f"c1 / c2 is not a normalized cocycle, first: {bad[0]}", bad)
-    mul = group.mul
-    S = grp.generating_set(mul)
-    a, b = _tree_coordinates(mul, S, d, L)
-    st = mul[S]
+    S = group.generators
+    a, b = _tree_coordinates(group, d, L)
+    st = group.mul[S]
     A = (np.eye(len(S), dtype=np.int64)[:, None] + a - a[st]).reshape(-1, len(S))
     z = solve_mod(A, (d[S] - b + b[st]).ravel(), L)
     if z is None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -66,6 +67,46 @@ class FiniteGroup:
 
     def __hash__(self):
         return hash((self.order, self.mul.tobytes()))
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """generating_set(mul), read-only: the identity first."""
+        gens = generating_set(self.mul)
+        gens.setflags(write=False)
+        return gens
+
+    @cached_property
+    def cayley_tree(self) -> tuple:
+        """(a, levels): a spanning tree of the left Cayley graph of the generators.
+
+        Walks breadth-first from the generators S, one level per numpy step.
+        Level arrays (g, j, t) say that each new g is S[j] t, with t on the
+        level before; a[g] counts the generators on g's tree path, so a
+        function xi with xi(st) = xi(s) + xi(t) - d(s, t) on the tree edges
+        is a[g] . xi(S) + b[g], where b is swept over the levels in order.
+        """
+        mul, S = self.mul, self.generators
+        k = len(S)
+        a = np.zeros((self.order, k), dtype=np.int64)
+        a[S, np.arange(k)] = 1
+        seen = np.zeros(self.order, dtype=bool)
+        seen[S] = True
+        levels = []
+        frontier = S
+        while frontier.size:
+            g = mul[S[:, None], frontier].ravel()        # s_j t, j-major
+            fresh = np.flatnonzero(~seen[g])
+            g, first = np.unique(g[fresh], return_index=True)
+            j, i = np.divmod(fresh[first], frontier.size)
+            t = frontier[i]
+            a[g] = a[t]
+            a[g, j] += 1
+            seen[g] = True
+            levels.append((g, j, t))
+            frontier = g
+        for arr in (a, *(x for level in levels for x in level)):
+            arr.setflags(write=False)
+        return a, tuple(levels)
 
 
 @dataclass(frozen=True)

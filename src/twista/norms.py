@@ -30,7 +30,15 @@ from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocyc
 from .errors import CertificateError, GroupMismatch, SolverFailure
 from .groups import FiniteGroup, same_group
 from .littlewood import T2Split, max_row_l2, t2_split
-from .sdp import SDPSolution, gamma2
+
+
+def __getattr__(name):
+    # sdp imports scipy, which loads with the first SDP solve; the names are
+    # looked up afresh, never cached, so they follow a rebound sdp.gamma2
+    if name in ("SDPSolution", "gamma2"):
+        from . import sdp
+        return getattr(sdp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,9 @@ def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
     factorization norm; the certificate factorization satisfies
     sigma(t,s) phi(ts) = <xi(s), eta(t)> entrywise.
     """
+    from . import sdp
     F = schur_symbol(phi, sigma1, sigma2)
-    sol = gamma2(F, tol=tol)
+    sol = sdp.gamma2(F, tol=tol)
     # gamma2 returns F[i][j] = <xi(j), eta(i)>; transpose the bookkeeping
     xi = sol.eta.conj()
     eta = sol.xi.conj()

@@ -29,6 +29,34 @@ def coboundary_solution_full(c1, c2):
     return solve_mod(A, d.reshape(-1), L)
 
 
+def tree_coordinates(mul, S, d, L: int):
+    """(a, b) with xi(g) = a[g] . xi(S) + b[g] (mod L), by a breadth-first walk.
+
+    The per-call form of the Cayley tree that FiniteGroup.cayley_tree caches:
+    each new g = s_j t takes its tree edge, a[g] = a[t] + e_j and
+    b[g] = b[t] - d(s_j, t).
+    """
+    n, k = len(mul), len(S)
+    a = np.zeros((n, k), dtype=np.int64)
+    b = np.zeros(n, dtype=np.int64)
+    a[S, np.arange(k)] = 1
+    seen = np.zeros(n, dtype=bool)
+    seen[S] = True
+    frontier = S
+    while frontier.size:
+        g = mul[S[:, None], frontier].ravel()        # s_j t, j-major
+        fresh = np.flatnonzero(~seen[g])
+        g, first = np.unique(g[fresh], return_index=True)
+        j, i = np.divmod(fresh[first], frontier.size)
+        t = frontier[i]
+        a[g] = a[t]
+        a[g, j] += 1
+        b[g] = (b[t] - d[S[j], t]) % L
+        seen[g] = True
+        frontier = g
+    return a, b
+
+
 def center_dimension_svd(sigma) -> int:
     """Null space of the n^2 x n commutator system [lambda(t), x] = 0, by SVD."""
     G = sigma.group

@@ -345,6 +345,43 @@ def test_generator_identity_check_matches_brute_force(name, seed):
                 % m)
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "Z3xZ3"])
+@pytest.mark.parametrize("where", ["row", "column"])
+def test_a_table_broken_only_in_row_or_column_zero_reports_normalization(name, where):
+    """The identity check skips s = e; a defect there shows as a normalization row."""
+    g = _PERTURB_BUILDERS[name]()
+    c, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 4), 4, np.random.default_rng(3))
+    expo = tw.normalize_cocycle(c)[0].exponents.copy()
+    m = 8
+    cell = (0, g.order - 1) if where == "row" else (g.order - 1, 0)
+    expo[cell] = 5
+    assert not brute_force_identity(expo, m, g)
+    assert tw.cocycles.cocycle_violations(expo, m, g) == [("normalization", cell)]
+
+
+def test_witness_rescaled_at_its_own_order_is_itself():
+    g = tw.cyclic(4)
+    xi = tw.CoboundaryWitness(g, 4, [0, 1, 2, 3])
+    assert xi.rescaled(4) is xi
+    assert np.array_equal(xi.rescaled(8).xi, [0, 2, 4, 6])
+
+
+def test_generating_set_runs_once_per_group(monkeypatch):
+    calls = []
+    real = tw.groups.generating_set
+    monkeypatch.setattr(tw.groups, "generating_set",
+                        lambda mul: calls.append(1) or real(mul))
+    g = tw.cyclic_product([8, 8])
+    c = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        twisted, _ = tw.random_coboundary_twist(c, 4, rng)
+        tw.validate_cocycle(twisted.exponents, twisted.m, g)
+        tw.normalize_cocycle(twisted)
+        assert tw.coboundary_test(twisted, c) is not None
+    assert len(calls) == 1
+
+
 def _z2_5():
     g = tw.cyclic_product([2] * 5)
     return g, np.arange(g.order) % 2               # the last coordinate

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twista as tw
-from oracles import associativity_fails, magma_closure
+from oracles import associativity_fails, magma_closure, tree_coordinates
 from twista.errors import InvalidTable, UnsupportedSize
 
 
@@ -173,6 +173,47 @@ def test_generating_set_reaches_every_suite_group(suite_groups):
         assert gens[0] == 0 and list(gens) == sorted(gens), name
         assert len(gens) <= int(np.log2(g.order)) + 1, name
         assert magma_closure(g.mul, gens).all(), name
+
+
+def _relabelled_s4():
+    g = tw.symmetric(4)
+    p = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(g.order - 1)])
+    q = np.argsort(p)
+    return tw.from_table(p[g.mul[np.ix_(q, q)]])
+
+
+def _cache_groups(suite_groups):
+    return {**suite_groups, "D20": tw.dihedral(20), "S5": tw.symmetric(5),
+            "Z11xZ11": tw.cyclic_product([11, 11]), "Z2^5": tw.cyclic_product([2] * 5),
+            "S4-relabelled": _relabelled_s4()}
+
+
+def test_generators_are_the_generating_set_and_read_only(suite_groups):
+    for name, g in _cache_groups(suite_groups).items():
+        assert np.array_equal(g.generators, tw.groups.generating_set(g.mul)), name
+        assert g.generators is g.generators, name
+        with pytest.raises(ValueError):
+            g.generators[0] = 1
+        with pytest.raises(AttributeError):
+            g.generators = np.arange(2)
+
+
+def test_cayley_tree_reproduces_the_per_call_walk(suite_groups):
+    rng = np.random.default_rng(0)
+    for name, g in _cache_groups(suite_groups).items():
+        L = 12
+        d = rng.integers(0, L, (g.order, g.order))
+        a_old, b_old = tree_coordinates(g.mul, g.generators, d, L)
+        a, b = tw.cocycles._tree_coordinates(g, d, L)
+        assert a is g.cayley_tree[0], name
+        assert np.array_equal(a, a_old) and np.array_equal(b, b_old), name
+        assert not a.flags.writeable, name
+        # every element but the generators is reached by exactly one tree edge
+        reached = np.concatenate([level[0] for level in g.cayley_tree[1]])
+        assert sorted(np.concatenate([g.generators, reached])) == list(range(g.order)), name
+        for level in g.cayley_tree[1]:
+            new, j, t = level
+            assert np.array_equal(g.mul[g.generators[j], t], new), name
 
 
 def test_validate_table_memory_stays_quadratic():

@@ -1,6 +1,8 @@
 """Source-level guards on the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,3 +80,40 @@ def test_exact_layer_imports_only_numpy():
              for root in _imported_roots(SOURCE / f"{name}.py")
              if root not in allowed]
     assert not found, found
+
+
+def test_only_sdp_imports_scipy():
+    # scipy costs most of the package's import time and memory; only the
+    # gamma2 solver needs it, and it loads with the first solve
+    found = sorted(path.name for path in SOURCE.glob("*.py")
+                   if "scipy" in set(_imported_roots(path)))
+    assert found == ["sdp.py"], found
+
+
+_EXACT_COMMANDS = """
+import sys
+import twista
+import twista.cli
+from twista import cli, norms
+work = sys.argv[1]
+for argv in (["cocycle", "compare", "--a", f"{work}/c.json", "--b", "trivial"],
+             ["norm", "fourier", "--phi", f"{work}/phi.json", "--sigma", f"{work}/c.json"],
+             ["norm", "littlewood", "--phi", f"{work}/phi.json"]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+if "scipy" in sys.modules:
+    sys.exit("scipy was imported")
+if not (twista.gamma2 is norms.gamma2 is twista.sdp.gamma2):
+    sys.exit("gamma2 names differ")
+"""
+
+
+def test_exact_commands_run_without_scipy(tmp_path):
+    import twista as tw
+    g = tw.cyclic_product([4, 4])
+    tw.save_cocycle(tw.bilinear_cocycle(g, [[0, 1], [0, 0]]), tmp_path / "c.json")
+    tw.save_function(tw.delta(g, 0), tmp_path / "phi.json")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-c", _EXACT_COMMANDS, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
