@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -213,7 +214,9 @@ def cmd_demo_quantum_torus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args keeps no state."""
     ap = argparse.ArgumentParser(prog="twista",
                                  description="Twisted group algebra workbench")
     sub = ap.add_subparsers(dest="command", required=True)

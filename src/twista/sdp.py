@@ -25,10 +25,14 @@ evaluated at u, v read off the dual iterate; any unit pair gives a valid
 bound, so the reported gap is a true certificate independent of solver
 internals.
 
-Every dense kernel runs in scipy's OpenBLAS, the library that factors the
-Schur matrix.  numpy links a second OpenBLAS with its own thread pool, whose
-workers keep spinning for a while after each call; on a few cores that
-spinning takes a core from the other library's next call.
+Every dense kernel is a direct f2py call into scipy's LAPACK and BLAS, the
+OpenBLAS that factors the Schur matrix.  numpy links a second OpenBLAS with
+its own thread pool, whose workers keep spinning for a while after each call;
+on a few cores that spinning takes a core from the other library's next call.
+The direct calls also skip scipy.linalg's validation, whose finiteness scans
+read the whole m x m Schur matrix several times per iteration.  Finiteness is
+checked instead on F at entry and on each Newton direction, an m-vector:
+OpenBLAS's potrf reports success on a matrix holding a NaN.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import (zgesdd, zgesdd_lwork, zgesvd, zgesvd_lwork, zheevd,
-                                 zheevd_lwork, zpotrf)
+from scipy.linalg.lapack import (dpotrf, dpotrs, zgesdd, zgesdd_lwork, zgesvd,
+                                 zgesvd_lwork, zheevd, zheevd_lwork, zpotrf, zpotrs,
+                                 ztrtrs)
 
 from .errors import CertificateError, SolverFailure, UnsupportedSize
 
@@ -117,6 +121,14 @@ def _cholesky(A):
     return _lapack(zpotrf(A, lower=True))[0]
 
 
+def cholesky(a, lower=True, overwrite_a=False):
+    """Cholesky factor of the real Schur matrix, scipy's signature, no scans.
+
+    The triangle that is not the factor keeps whatever a held there.
+    """
+    return _lapack(dpotrf(a, lower=lower, clean=0, overwrite_a=overwrite_a))[0]
+
+
 def _svd(A, compute_uv=1, driver=(zgesdd, zgesdd_lwork)):
     routine, query = driver
     work, _ = query(*A.shape, compute_uv=compute_uv)
@@ -136,8 +148,8 @@ def _mul(A, B, trans_a=0):
 
 def _psd_max_step(L, D):
     """sup alpha with chol-factored base plus alpha * D staying PSD."""
-    M = solve_triangular(L, D, lower=True)
-    M = solve_triangular(L, M.conj().T, lower=True).conj().T
+    M = _lapack(ztrtrs(L, D, lower=True))[0]
+    M = _lapack(ztrtrs(L, M.conj().T, lower=True))[0].conj().T
     w = _eigh(0.5 * (M + M.conj().T), compute_v=0)[0]
     lo = w.min()
     if lo >= -1e-14:
@@ -242,14 +254,15 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
             U_, sig, Vh_ = _svd(T)
         except np.linalg.LinAlgError:   # gesdd can fail on clustered values
             U_, sig, Vh_ = _svd(T, driver=(zgesvd, zgesvd_lwork))
-        Rinv = solve_triangular(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
-                                lower=True, trans="C").conj().T
+        Rinv = _lapack(ztrtrs(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
+                              lower=True, trans=2))[0].conj().T
         Ginv = _mul(Rinv, Rinv, trans_a=2)
         Ginv = 0.5 * (Ginv + Ginv.conj().T)
         t_column = adjoint(_mul(Ginv, Ginv))
 
         # M.T is Fortran-ordered: potrf reads M's upper triangle as its lower
-        # one and leaves the factor there, so a failed attempt assembles M again
+        # one and leaves the factor there, so a failed attempt assembles M again;
+        # potrs reads only that triangle, never the stale entries below it
         Lm = None
         for attempt in range(8):
             # the X-Y block is the congruence by Ginv's off-diagonal block
@@ -270,12 +283,16 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
             ill = True
             break
 
-        Zi = cho_solve((LZ, True), np.eye(2 * n, dtype=complex))
+        Zi = _lapack(zpotrs(LZ, np.eye(2 * n, dtype=complex), lower=True))[0]
         Zi = 0.5 * (Zi + Zi.conj().T)
         rd = b - adjoint(Zp)
 
         def direction(Rc):
-            dy = cho_solve((Lm, True), adjoint(_mul(_mul(Ginv, Rc), Ginv)) - rd)
+            """(dS, dZ), or None when the solve gives a non-finite dy."""
+            dy = _lapack(dpotrs(Lm, adjoint(_mul(_mul(Ginv, Rc), Ginv)) - rd,
+                                lower=True))[0]
+            if not np.isfinite(dy).all():
+                return None
             dS = dy[-1] * np.eye(2 * n, dtype=complex)
             dS[:n, :n] += basis.hmat(dy[:nh])
             dS[n:, n:] += basis.hmat(dy[nh:-1])
@@ -283,7 +300,11 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
             return dS, 0.5 * (dZ + dZ.conj().T)
 
         # predictor
-        dS, dZ = direction(-S)
+        step = direction(-S)
+        if step is None:
+            ill = True
+            break
+        dS, dZ = step
         ap = min(1.0, 0.99 * _psd_max_step(LS, dS))
         ad = min(1.0, 0.99 * _psd_max_step(LZ, dZ))
         a = min(ap, ad)
@@ -291,7 +312,11 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
         sigma_c = float(np.clip((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8, 0.999))
 
         # corrector with adaptive centering, same factorization
-        dS, dZ = direction(sigma_c * mu * Zi - S)
+        step = direction(sigma_c * mu * Zi - S)
+        if step is None:
+            ill = True
+            break
+        dS, dZ = step
         ap = min(1.0, 0.98 * _psd_max_step(LS, dS))
         ad = min(1.0, 0.98 * _psd_max_step(LZ, dZ))
         if min(ap, ad) < 1e-9:
@@ -314,7 +339,7 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     sol = SDPSolution(value=value, gram=gram, dual_value=dual_value, gap=gap,
                       iterations=iters_done, xi=bot.conj(), eta=top.conj(),
                       ill_conditioned=ill, dual_u=best_uv[0], dual_v=best_uv[1])
-    if gap > tol:
+    if not gap <= tol:          # a NaN gap fails too
         raise SolverFailure(
             f"gamma2 reached gap {gap:.3e} > tol {tol:.1e} "
             f"after {iters_done} iterations", partial=sol)

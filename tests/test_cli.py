@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twista as tw
+from twista import cli, sdp
 from twista.cli import main
 
 
@@ -228,6 +230,66 @@ def test_solver_failure_exit_code_writes_partial(workdir):
     doc = json.loads(out.read_text())
     assert doc["status"] == "solver_failure"
     assert doc["value"] is not None
+
+
+def test_non_finite_newton_direction_exits_as_solver_failure(workdir, monkeypatch):
+    # OpenBLAS potrf returns info 0 on a NaN: the factor the solver sees
+    # is non-finite, and the command must fail as a solver failure
+    factor = sdp.cholesky
+
+    def spoiled(a, **kwargs):
+        L = factor(a, **kwargs)
+        L[-1, -1] = np.nan
+        return L
+
+    g = tw.cyclic(4)
+    fpath = workdir / "f.json"
+    rng = np.random.default_rng(1)
+    tw.save_function(tw.GroupFunction(g, rng.standard_normal(4) + 0j), fpath)
+    gpath = workdir / "z4.json"
+    tw.save_group(g, gpath)
+    monkeypatch.setattr(sdp, "cholesky", spoiled)
+    out = workdir / "partial.json"
+    code = run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "-o", out])
+    assert code == 5
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "solver_failure"
+    assert np.isfinite([doc["value"], doc["gap"]]).all()
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(workdir, monkeypatch):
+    # a fixed clock makes the certificate files byte-comparable: their only
+    # varying field is wall_time_ms
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    g = tw.cyclic_product([3, 3])
+    gpath, sig, fpath = workdir / "g.json", workdir / "sig.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    tw.save_cocycle(tw.bilinear_cocycle(g, [[0, 1], [0, 0]]), sig)
+    rng = np.random.default_rng(0)
+    tw.save_function(tw.GroupFunction(g, rng.standard_normal(9) + 1j * rng.standard_normal(9)),
+                     fpath)
+
+    def session(tag):
+        with pytest.raises(SystemExit) as usage:
+            run(["norm", "fourier", "--phi", fpath])
+        outs = [workdir / f"{tag}-fourier.json", workdir / f"{tag}-multiplier.json"]
+        codes = [usage.value.code,
+                 run(["norm", "fourier", "--phi", fpath, "--sigma", sig,
+                      "--group", gpath, "-o", outs[0]]),
+                 run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                      "--sigma2", sig, "--group", gpath, "-o", outs[1]])]
+        return codes, [out.read_bytes() for out in outs]
+
+    cached = session("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = session("fresh")
+    assert cached[0] == [2, 0, 0]
+    assert cached == fresh
 
 
 def test_demo_quantum_torus(capsys):

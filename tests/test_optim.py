@@ -383,6 +383,32 @@ def test_gamma2_reassembles_the_schur_matrix_after_a_failed_factorization(monkey
     assert abs(sol.value - plain.value) <= 1e-9 * plain.value
 
 
+def _nan_schur_factor(at_call, entry):
+    """sdp.cholesky as OpenBLAS behaves on a NaN: info 0, a non-finite factor."""
+    factor, calls = sdp.cholesky, []
+
+    def spoiled(a, **kwargs):
+        L = factor(a, **kwargs)
+        calls.append(a.shape)
+        if len(calls) >= at_call:
+            L[entry] = np.nan
+        return L
+    return spoiled
+
+
+@pytest.mark.parametrize("at_call", [1, 3])
+@pytest.mark.parametrize("entry", [(-1, -1), (-1, 0)], ids=["diagonal", "lower"])
+def test_gamma2_fails_typed_on_a_non_finite_schur_factor(monkeypatch, at_call, entry):
+    F = _complex(np.random.default_rng(3), 8)
+    monkeypatch.setattr(sdp, "cholesky", _nan_schur_factor(at_call, entry))
+    with pytest.raises(tw.SolverFailure) as exc:
+        tw.gamma2(F)
+    part = exc.value.partial
+    assert part.ill_conditioned and part.iterations == at_call
+    assert np.isfinite([part.value, part.dual_value, part.gap]).all()
+    assert np.isfinite(part.gram).all() and np.isfinite(part.xi).all()
+
+
 # --- t2 splitting ---
 
 def test_t2_zero_and_single_entry():

@@ -90,6 +90,45 @@ def test_only_sdp_imports_scipy():
     assert found == ["sdp.py"], found
 
 
+def test_sdp_calls_scipy_only_through_lapack_and_blas():
+    # scipy.linalg's validated wrappers scan every argument for finiteness,
+    # and three of those scans per IPM iteration read the m x m Schur matrix
+    path = SOURCE / "sdp.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+    found = {name for name in found if name.partition(".")[0] == "scipy"}
+    assert found == {"scipy.linalg.lapack", "scipy.linalg.blas"}, found
+
+
+def test_the_schur_matrix_is_factored_in_place(monkeypatch):
+    # potrf gets the Fortran-ordered view M.T and leaves the factor there:
+    # no m x m copy on the way in or out
+    import numpy as np
+    from twista import sdp
+    factor, seen = sdp.cholesky, []
+
+    def spy(a, **kwargs):
+        L = factor(a, **kwargs)
+        seen.append((a, L))
+        return L
+
+    monkeypatch.setattr(sdp, "cholesky", spy)
+    n = 5
+    m = 2 * n * n + 1
+    rng = np.random.default_rng(0)
+    sol = sdp.gamma2(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert len(seen) == sol.iterations - 1
+    for a, L in seen:
+        M = a.base
+        assert a.shape == (m, m) and a.flags.f_contiguous and not a.flags.owndata
+        assert M.shape == (m, m) and M.flags.c_contiguous
+        assert np.shares_memory(L, M)
+
+
 _EXACT_COMMANDS = """
 import sys
 import twista
