@@ -4,9 +4,14 @@ t2(psi) = inf { maxrow_l2(psi1) + maxcol_l2(psi2) : psi = psi1 + psi2 }.
 
 Primal splits come from ADMM with exact proximal steps (the prox of a
 max-of-row-norms term is a group soft threshold via projection onto the dual
-ball).  Its penalty rho is tuned by residual balancing (Boyd et al., FnT ML
-2011, section 3.4.1): at every certificate check rho doubles when the primal
-residual exceeds MU times the dual one and halves in the opposite case.
+ball).  The row step is over-relaxed, h = ALPHA psi1 + (1 - ALPHA)(P - psi2)
+with ALPHA = 1.8 (Eckstein & Bertsekas, Math. Program. 1992; Boyd et al.,
+FnT ML 2011, section 3.4.3), and h replaces psi1 in the column step and the
+multiplier update.  The penalty rho is tuned by residual balancing (Boyd et
+al., section 3.4.1): at every certificate check rho doubles when the primal
+residual ||h + psi2 - P|| of the relaxed iterate exceeds MU times the dual
+one and halves in the opposite case.  rho starts at the power of two nearest
+1 / sqrt(max(rows, cols)), near where balancing settles.
 Lower bounds come from the dual characterization
 
     t2(psi) = sup { |<psi, c>| : sum_s ||row_s c||_2 <= 1
@@ -30,6 +35,7 @@ CHECK_EVERY = 50        # ADMM steps between certificate checks
 MAX_ITER = 40000        # ADMM step budget
 MU, TAU = 10.0, 2.0     # residual balancing: scale rho by TAU when one
                         # residual exceeds MU times the other
+ALPHA = 1.8             # over-relaxation of the row step
 
 
 @dataclass(frozen=True)
@@ -94,16 +100,18 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
     # the dual ball of radius 1 / rho (Moreau), and likewise for columns
     psi2 = 0.5 * P
     U = np.zeros_like(P)
-    rho = 1.0
+    # a power of two near where balancing settles, so U rescales exactly
+    rho = 2.0 ** np.round(np.log2(1 / np.sqrt(max(P.shape))))
     best_value, best_psi1, best_dual = np.inf, psi2, 0.0
     for it in range(1, MAX_ITER + 1):
         V = P - psi2 - U
         s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=1)), 1.0 / rho)
         psi1 = np.zeros_like(V) if s is None else V - V * s[:, None]
-        V = P - psi1 - U
+        h = ALPHA * psi1 + (1 - ALPHA) * (P - psi2)
+        V = P - h - U
         s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=0)), 1.0 / rho)
         prev, psi2 = psi2, np.zeros_like(V) if s is None else V - V * s[None, :]
-        U = U + psi1 + psi2 - P
+        U = U + h + psi2 - P
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             cand = max_row_l2(psi1) + max_col_l2(P - psi1)
             if cand < best_value:
@@ -113,7 +121,8 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
             if best_value - best_dual <= 0.5 * tol / scale:
                 break
             # residual balancing; TAU is a power of two, so U rescales exactly
-            rp = np.linalg.norm(psi1 + psi2 - P)
+            # the primal residual of the relaxed iterate h, not of psi1
+            rp = np.linalg.norm(h + psi2 - P)
             rd = rho * np.linalg.norm(psi2 - prev)
             if rp > MU * rd:
                 rho, U = rho * TAU, U / TAU

@@ -216,8 +216,9 @@ def test_gamma2_gram_diagonal_is_pinned_to_the_value(n):
 
 # --- the IPM's Hermitian coordinates and Schur blocks ---
 
-def _complex(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _complex(rng, n, m=None):
+    shape = (n, n if m is None else m)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _gram(basis, K):
@@ -447,18 +448,23 @@ def test_t2_split_adds_up_and_certifies():
     assert sol.gap <= 1e-5
 
 
-# value, dual bound and iteration count of t2_split(psi) at the default tol;
-# n = 6 closes before the penalty first moves, so the adaptive penalty leaves
-# its value from the fixed unit penalty unchanged
+# value, dual bound and iteration count of t2_split(psi) at the default tol,
+# with the over-relaxed split and the penalty started at 2^round(log2(n^-1/2));
+# n = 6 closes at the second check, before balancing first moves the penalty
 _T2_PINS = {
-    6: (3.449187095205883, 3.449185361028353, 250),
-    16: (5.69762377800187, 5.697621871164705, 500),
-    32: (8.125862958405884, 8.125858188907939, 1100),
+    6: (3.4491869671295357, 3.4491869646915903, 100),
+    16: (5.697623824614803, 5.697622452310087, 150),
+    32: (8.125862941428549, 8.125860533603202, 500),
 }
 
-# value and dual bound of the n = 16 case under the fixed unit penalty (900
-# steps); both runs certify, so each bracket must contain the other's norm
-_UNIT_PENALTY_T2_16 = (5.6976237635426354, 5.697620665562662)
+# value and dual bound of earlier certified runs: the fixed unit penalty (n = 16,
+# 900 steps) and the unrelaxed split started at the unit penalty (n = 16 and
+# 32, 500 and 1100 steps); each bracket must contain the other's norm
+_EARLIER_T2 = {
+    "unit penalty n=16": (16, 5.6976237635426354, 5.697620665562662),
+    "unrelaxed n=16": (16, 5.69762377800187, 5.697621871164705),
+    "unrelaxed n=32": (32, 8.125862958405884, 8.125858188907939),
+}
 
 
 @pytest.mark.parametrize("n", sorted(_T2_PINS))
@@ -471,24 +477,28 @@ def test_t2_split_is_pinned(n):
     assert not sol.budget_exhausted
 
 
-def test_t2_split_brackets_agree_with_the_unit_penalty():
-    old_value, old_dual = _UNIT_PENALTY_T2_16
-    sol = tw.t2_split(_complex(np.random.default_rng(16), 16))
+@pytest.mark.parametrize("run", sorted(_EARLIER_T2))
+def test_t2_split_brackets_agree_with_earlier_runs(run):
+    n, old_value, old_dual = _EARLIER_T2[run]
+    sol = tw.t2_split(_complex(np.random.default_rng(n), n))
     assert sol.dual_bound <= old_value
     assert old_dual <= sol.value
 
 
 def test_t2_split_closes_on_a_sparse_matrix():
-    # with the unit penalty this case spent all 40000 steps at a gap of 1.38e-5
+    # with the unit penalty this case spent all 40000 steps at a gap of 1.38e-5;
+    # the over-relaxed split takes 1200, or 5550 if balancing reads the
+    # unrelaxed residual
     rng = np.random.default_rng([4, 12, 8])
     psi = _complex(rng, 12) * (rng.random((12, 12)) < 0.3)
     sol = tw.t2_split(psi, tol=1e-5)
     assert not sol.budget_exhausted and sol.gap <= 1e-5
     assert sol.iterations < littlewood.MAX_ITER
+    assert sol.iterations <= 2500
 
 
-def _t2_case(kind, n, rng):
-    z = _complex(rng, n)
+def _t2_case(kind, n, rng, m=None):
+    z = _complex(rng, n, m)
     if kind == "rank one":
         return np.outer(z[0], z[1])
     if kind == "zero row":
@@ -496,9 +506,9 @@ def _t2_case(kind, n, rng):
     elif kind == "row scaled":
         z *= 10.0 ** rng.uniform(-4, 4, (n, 1))
     elif kind == "sparse":
-        z *= rng.random((n, n)) < 0.3
+        z *= rng.random(z.shape) < 0.3
     elif kind == "all ones":
-        z = np.ones((n, n))
+        z = np.ones(z.shape)
     return z
 
 
@@ -511,6 +521,30 @@ def test_t2_split_closes_on_every_kind(kind, n):
     assert not sol.budget_exhausted and sol.gap <= 1e-5
     assert np.abs(sol.psi1 + sol.psi2 - psi).max() <= 1e-15 * np.abs(psi).max()
     assert sol.dual_bound <= sol.value
+
+
+def test_t2_split_balances_on_the_relaxed_residual():
+    # balancing on the unrelaxed residual |psi1 + psi2 - P| spends all 40000
+    # steps here from the unit penalty and 8350 from the scaled start; the
+    # relaxed residual takes 4700
+    psi = _t2_case("rank one", 40, np.random.default_rng([40, 8, 1]))
+    sol = tw.t2_split(psi)
+    assert not sol.budget_exhausted and sol.gap <= 1e-5
+    assert sol.iterations < littlewood.MAX_ITER
+    assert sol.iterations <= 6000
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "row scaled", "sparse"])
+def test_t2_split_closes_on_rectangular_matrices(kind):
+    # transposing swaps the max-row and max-column terms, so t2(psi) and
+    # t2(psi^T) are one norm and their certified brackets must overlap
+    psi = _t2_case(kind, 8, np.random.default_rng([8, 40, len(kind)]), 40)
+    wide, tall = tw.t2_split(psi), tw.t2_split(psi.T)
+    for sol, m in ((wide, psi), (tall, psi.T)):
+        assert sol.psi1.shape == m.shape
+        assert not sol.budget_exhausted and sol.gap <= 1e-5
+        assert np.abs(sol.psi1 + sol.psi2 - m).max() <= 1e-15 * np.abs(m).max()
+    assert wide.dual_bound <= tall.value and tall.dual_bound <= wide.value
 
 
 _magnitudes = st.lists(

@@ -156,3 +156,26 @@ def test_exact_commands_run_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _EXACT_COMMANDS, str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+_ADMM_CALL = """
+import sys
+import numpy as np
+import twista
+rng = np.random.default_rng(16)
+psi = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+sol = twista.littlewood_norm(psi)
+if sol.budget_exhausted or not sol.gap <= 1e-5:
+    sys.exit("t2 did not certify")
+if "scipy" in sys.modules:
+    sys.exit("scipy was imported")
+"""
+
+
+def test_general_matrix_t2_runs_without_scipy():
+    # the ADMM is numpy-only, so a process that certifies T2 on a general
+    # matrix never pays for scipy's import
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-c", _ADMM_CALL],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
