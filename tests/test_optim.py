@@ -457,13 +457,15 @@ _T2_PINS = {
     32: (8.125862941428549, 8.125860533603202, 500),
 }
 
-# value and dual bound of earlier certified runs: the fixed unit penalty (n = 16,
-# 900 steps) and the unrelaxed split started at the unit penalty (n = 16 and
-# 32, 500 and 1100 steps); each bracket must contain the other's norm
-_EARLIER_T2 = {
-    "unit penalty n=16": (16, 5.6976237635426354, 5.697620665562662),
-    "unrelaxed n=16": (16, 5.69762377800187, 5.697621871164705),
-    "unrelaxed n=32": (32, 8.125862958405884, 8.125858188907939),
+# value and dual bound of the n = 16 case under the fixed unit penalty (900
+# steps); both runs certify, so each bracket must contain the other's norm
+_UNIT_PENALTY_T2_16 = (5.6976237635426354, 5.697620665562662)
+
+# value and dual bound of the unrelaxed split started at the unit penalty
+# (n = 16 and 32, 500 and 1100 steps), kept as brackets in the same way
+_UNRELAXED_T2 = {
+    16: (5.69762377800187, 5.697621871164705),
+    32: (8.125862958405884, 8.125858188907939),
 }
 
 
@@ -477,12 +479,19 @@ def test_t2_split_is_pinned(n):
     assert not sol.budget_exhausted
 
 
-@pytest.mark.parametrize("run", sorted(_EARLIER_T2))
-def test_t2_split_brackets_agree_with_earlier_runs(run):
-    n, old_value, old_dual = _EARLIER_T2[run]
+def _assert_brackets_overlap(n, old_value, old_dual):
     sol = tw.t2_split(_complex(np.random.default_rng(n), n))
     assert sol.dual_bound <= old_value
     assert old_dual <= sol.value
+
+
+def test_t2_split_brackets_agree_with_the_unit_penalty():
+    _assert_brackets_overlap(16, *_UNIT_PENALTY_T2_16)
+
+
+@pytest.mark.parametrize("n", sorted(_UNRELAXED_T2))
+def test_t2_split_brackets_agree_with_the_unrelaxed_split(n):
+    _assert_brackets_overlap(n, *_UNRELAXED_T2[n])
 
 
 def test_t2_split_closes_on_a_sparse_matrix():
