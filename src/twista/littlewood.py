@@ -12,14 +12,27 @@ al., section 3.4.1): at every certificate check rho doubles when the primal
 residual ||h + psi2 - P|| of the relaxed iterate exceeds MU times the dual
 one and halves in the opposite case.  rho starts at the power of two nearest
 1 / sqrt(max(rows, cols)), near where balancing settles.
+
+One step is a map T(psi2, U), Anderson accelerated with memory MEMORY
+(Walker & Ni, SIAM J. Numer. Anal. 2011; Fu, Zhang & Boyd, SIAM J. Sci.
+Comput. 2020).  T is evaluated once per step, at the extrapolated point, and
+that is also the safeguard: the point is kept when its residual T(x) - x is
+no larger than that of the last iterate z; otherwise the next step starts
+from T(z), already computed, and the memory is cleared, as it is when
+balancing changes rho.
+
 Lower bounds come from the dual characterization
 
     t2(psi) = sup { |<psi, c>| : sum_s ||row_s c||_2 <= 1
                                  and sum_t ||col_t c||_2 <= 1 },
 
 where any feasible c certifies, so the reported gap is a true certificate.
-The dual candidate is the ADMM multiplier -rho * U, rescaled into the
-feasible set.
+The dual candidates are the ADMM multiplier -rho * U and the same with the
+rows zeroed where psi1 is below its largest row norm (the optimal multiplier
+vanishes there), each rescaled into the feasible set and shrunk by a
+rounding bound, so the computed dual bound never exceeds the computed value.
+psi1 and U are read from the output of a real step, never from an
+extrapolated point, so acceleration cannot make a bracket unsound.
 On group functions the norm has a closed form (``norms.littlewood_T2_norm``).
 """
 
@@ -36,6 +49,8 @@ MAX_ITER = 40000        # ADMM step budget
 MU, TAU = 10.0, 2.0     # residual balancing: scale rho by TAU when one
                         # residual exceeds MU times the other
 ALPHA = 1.8             # over-relaxation of the row step
+MEMORY = 5              # Anderson memory: differences kept for extrapolation
+ACTIVE_ROW = 1e-3       # rows of psi1 this close to the largest row norm are active
 
 
 @dataclass(frozen=True)
@@ -76,11 +91,41 @@ def _ball_scales(r: np.ndarray, radius: float):
     return np.divide(np.maximum(r - tau, 0.0), r, out=np.zeros_like(r), where=r > 0)
 
 
+def rounding_shrink(k: int) -> float:
+    """1 - gamma_k, where gamma_k = k u / (1 - k u) bounds the relative error
+    of k roundings (Higham, ch. 3); a dual witness scaled by it stays
+    feasible, and pairs to at most the value, when computed in floating point."""
+    ku = k * np.finfo(float).eps / 2
+    return 1.0 - ku / (1.0 - ku)
+
+
 def _dual_feasible(C: np.ndarray) -> np.ndarray:
+    """C rescaled into the dual feasible set and shrunk by gamma_k.
+
+    For m x n C the norm sums and entries of c take m + n + 3 roundings, the
+    pairing with P (t2 ignores phases, so |c| and |P| bound it) N + 3 with
+    N = mn, a split's value max(m, n) + 4 and the rescaling 2, so
+    k = N + 2(m + n) + 16 keeps the computed dual bound at most the value.
+    """
     denom = max(1.0,
                 float(np.sqrt((np.abs(C) ** 2).sum(axis=1)).sum()),
                 float(np.sqrt((np.abs(C) ** 2).sum(axis=0)).sum()))
-    return C / denom
+    return C * (rounding_shrink(C.size + 2 * sum(C.shape) + 16) / denom)
+
+
+def _admm_step(P: np.ndarray, Z: np.ndarray, rho: float):
+    """One over-relaxed ADMM step T from Z = (psi2, U); returns T(Z), psi1 and h."""
+    psi2, U = Z
+    # the prox of maxrow_l2 / rho at V is V minus the projection of V onto
+    # the dual ball of radius 1 / rho (Moreau), and likewise for columns
+    V = P - psi2 - U
+    s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=1)), 1.0 / rho)
+    psi1 = np.zeros_like(V) if s is None else V - V * s[:, None]
+    h = ALPHA * psi1 + (1 - ALPHA) * (P - psi2)
+    V = P - h - U
+    s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=0)), 1.0 / rho)
+    psi2 = np.zeros_like(V) if s is None else V - V * s[None, :]
+    return np.stack([psi2, U + h + psi2 - P]), psi1, h
 
 
 def t2_split(psi, tol: float = 1e-5) -> T2Split:
@@ -96,38 +141,67 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
         return T2Split(0.0, z, z, 0.0, 0.0, 0)
     P = psi / scale
 
-    # the prox of maxrow_l2 / rho at V is V minus the projection of V onto
-    # the dual ball of radius 1 / rho (Moreau), and likewise for columns
-    psi2 = 0.5 * P
-    U = np.zeros_like(P)
+    X = np.stack([0.5 * P, np.zeros_like(P)])   # the point T is applied to
     # a power of two near where balancing settles, so U rescales exactly
     rho = 2.0 ** np.round(np.log2(1 / np.sqrt(max(P.shape))))
-    best_value, best_psi1, best_dual = np.inf, psi2, 0.0
+    # Anderson memory, rings over real views: differences of T(z) and of
+    # f = T(z) - z between consecutive iterates z, and the Gram matrix of dF
+    dG, dF = np.empty((2, MEMORY, 2 * X.size))
+    gram = np.empty((MEMORY, MEMORY))
+    stored, last = 0, None      # differences stored; tz, f, |f| of the last z
+    bound = np.inf              # residual the point X must not exceed
+    best_value, best_psi1, best_dual = np.inf, X[0], 0.0
     for it in range(1, MAX_ITER + 1):
-        V = P - psi2 - U
-        s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=1)), 1.0 / rho)
-        psi1 = np.zeros_like(V) if s is None else V - V * s[:, None]
-        h = ALPHA * psi1 + (1 - ALPHA) * (P - psi2)
-        V = P - h - U
-        s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=0)), 1.0 / rho)
-        prev, psi2 = psi2, np.zeros_like(V) if s is None else V - V * s[None, :]
-        U = U + h + psi2 - P
+        TX, psi1, h = _admm_step(P, X, rho)
+        tx = TX.reshape(-1).view(float)
+        f = tx - X.reshape(-1).view(float)
+        fnorm = np.sqrt(f @ f)
+        if fnorm <= bound:
+            # X is the next iterate z; extend the memory from the last one
+            if last is not None:
+                j, stored = stored % MEMORY, stored + 1
+                np.subtract(tx, last[0], out=dG[j])
+                np.subtract(f, last[1], out=dF[j])
+                k = min(stored, MEMORY)
+                gram[j, :k] = gram[:k, j] = dF[:k] @ dF[j]
+            last, plain = (tx, f, fnorm), TX
+        else:
+            # the extrapolation failed the safeguard: fall back to T(z)
+            stored, last = 0, None
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             cand = max_row_l2(psi1) + max_col_l2(P - psi1)
             if cand < best_value:
                 best_value, best_psi1 = cand, psi1
-            # the multiplier is rho * U; its negative, rescaled, is dual feasible
-            best_dual = max(best_dual, abs(np.vdot(_dual_feasible(-rho * U), P)))
+            # the multiplier is rho * U; its negative, rescaled, is dual feasible,
+            # and so is it with the rows zeroed where psi1 is below its largest
+            # row norm, as the optimal multiplier is
+            C = -rho * TX[1]
+            rows = np.sqrt((np.abs(psi1) ** 2).sum(axis=1))
+            active = rows >= (1 - ACTIVE_ROW) * rows.max()
+            for c in (C, C * active[:, None]):
+                best_dual = max(best_dual, abs(np.vdot(_dual_feasible(c), P)))
             if best_value - best_dual <= 0.5 * tol / scale:
                 break
             # residual balancing; TAU is a power of two, so U rescales exactly
             # the primal residual of the relaxed iterate h, not of psi1
-            rp = np.linalg.norm(h + psi2 - P)
-            rd = rho * np.linalg.norm(psi2 - prev)
-            if rp > MU * rd:
-                rho, U = rho * TAU, U / TAU
-            elif rd > MU * rp:
-                rho, U = rho / TAU, U * TAU
+            rp = np.linalg.norm(h + TX[0] - P)
+            rd = rho * np.linalg.norm(TX[0] - X[0])
+            if rp > MU * rd or rd > MU * rp:
+                factor = TAU if rp > MU * rd else 1 / TAU
+                rho = rho * factor
+                plain[1] /= factor
+                stored, last = 0, None
+        k = min(stored, MEMORY)
+        if k:
+            # gamma minimizes |f - dF^T gamma| by its k x k normal equations;
+            # a tiny ridge keeps them solvable when the differences are dependent
+            A = gram[:k, :k].copy()
+            A.flat[::k + 1] += 1e-12 * A.trace() + np.finfo(float).tiny
+            gamma = np.linalg.solve(A, dF[:k] @ last[1])
+            X = (last[0] - gamma @ dG[:k]).view(complex).reshape(TX.shape)
+            bound = last[2]
+        else:
+            X, bound = plain, np.inf
 
     value = best_value * scale
     dual = best_dual * scale

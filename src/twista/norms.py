@@ -29,7 +29,7 @@ from .algebra import (GroupFunction, TwistedOperator, lift_matrix,
 from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocycle
 from .errors import CertificateError, GroupMismatch, SolverFailure
 from .groups import FiniteGroup, same_group
-from .littlewood import T2Split, max_row_l2, t2_split
+from .littlewood import T2Split, max_row_l2, rounding_shrink, t2_split
 
 
 def __getattr__(name):
@@ -142,19 +142,18 @@ def littlewood_norm(psi, tol: float = 1e-5) -> T2Split:
 def _t2_dual_witness(f: np.ndarray, value: float) -> np.ndarray:
     """c = conj(f) / (n value), shrunk by the rounding bound gamma_k of its use.
 
-    gamma_k = k u / (1 - k u) bounds the relative error of k roundings
-    (Higham, ch. 3).  The computed value, a root of a sum of n squares, is
-    within gamma_(n+3) of ||phi||_2 and enters the pairing squared; the
-    scale 1 / (n value) and the entries of c add 3 roundings, and the
-    pairing sum(c * f), as n row sums and then their total, adds 2n + 1.
+    ``rounding_shrink`` gives 1 - gamma_k.  The computed value, a root of a
+    sum of n squares, is within gamma_(n+3) of ||phi||_2 and enters the
+    pairing squared; the scale 1 / (n value) and the entries of c add 3
+    roundings, and the pairing sum(c * f), as n row sums and then their
+    total, adds 2n + 1.
     So k = 4n + 16 keeps the computed pairing at most value, and the row
     and column norm sums of c at most 1 even when computed in floating point.
     """
     n = f.shape[0]
     if not value:
         return np.zeros_like(f)
-    ku = (4 * n + 16) * np.finfo(float).eps / 2
-    return f.conj() * ((1.0 - ku / (1.0 - ku)) / (n * value))
+    return f.conj() * (rounding_shrink(4 * n + 16) / (n * value))
 
 
 def littlewood_T2_norm(phi: GroupFunction) -> T2Split:
