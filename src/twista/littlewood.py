@@ -9,9 +9,10 @@ with ALPHA = 1.8 (Eckstein & Bertsekas, Math. Program. 1992; Boyd et al.,
 FnT ML 2011, section 3.4.3), and h replaces psi1 in the column step and the
 multiplier update.  The penalty rho is tuned by residual balancing (Boyd et
 al., section 3.4.1): at every certificate check rho doubles when the primal
-residual ||h + psi2 - P|| of the relaxed iterate exceeds MU times the dual
-one and halves in the opposite case.  rho starts at the power of two nearest
-1 / sqrt(max(rows, cols)), near where balancing settles.
+residual ||h + psi2 - P|| of the relaxed iterate (the change of U) exceeds MU
+times the dual one, rho ||change of psi2||, and halves in the opposite case.
+rho starts at the power of two nearest 1 / sqrt(max(rows, cols)), near where
+balancing settles.
 
 One step is a map T(psi2, U), Anderson accelerated with memory MEMORY
 (Walker & Ni, SIAM J. Numer. Anal. 2011; Fu, Zhang & Boyd, SIAM J. Sci.
@@ -19,7 +20,7 @@ Comput. 2020).  T is evaluated once per step, at the extrapolated point, and
 that is also the safeguard: the point is kept when its residual T(x) - x is
 no larger than that of the last iterate z; otherwise the next step starts
 from T(z), already computed, and the memory is cleared, as it is when
-balancing changes rho.
+balancing changes rho; a check on a dropped point does not balance.
 
 Lower bounds come from the dual characterization
 
@@ -27,10 +28,9 @@ Lower bounds come from the dual characterization
                                  and sum_t ||col_t c||_2 <= 1 },
 
 where any feasible c certifies, so the reported gap is a true certificate.
-The dual candidates are the ADMM multiplier -rho * U and the same with the
-rows zeroed where psi1 is below its largest row norm (the optimal multiplier
-vanishes there), each rescaled into the feasible set and shrunk by a
-rounding bound, so the computed dual bound never exceeds the computed value.
+The dual candidate is the ADMM multiplier -rho * U, rescaled into the
+feasible set and shrunk by a rounding bound, so the computed dual bound never
+exceeds the computed value.
 psi1 and U are read from the output of a real step, never from an
 extrapolated point, so acceleration cannot make a bracket unsound.
 On group functions the norm has a closed form (``norms.littlewood_T2_norm``).
@@ -50,7 +50,6 @@ MU, TAU = 10.0, 2.0     # residual balancing: scale rho by TAU when one
                         # residual exceeds MU times the other
 ALPHA = 1.8             # over-relaxation of the row step
 MEMORY = 5              # Anderson memory: differences kept for extrapolation
-ACTIVE_ROW = 1e-3       # rows of psi1 this close to the largest row norm are active
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def _dual_feasible(C: np.ndarray) -> np.ndarray:
 
 
 def _admm_step(P: np.ndarray, Z: np.ndarray, rho: float):
-    """One over-relaxed ADMM step T from Z = (psi2, U); returns T(Z), psi1 and h."""
+    """One over-relaxed ADMM step T from Z = (psi2, U); returns T(Z) and psi1."""
     psi2, U = Z
     # the prox of maxrow_l2 / rho at V is V minus the projection of V onto
     # the dual ball of radius 1 / rho (Moreau), and likewise for columns
@@ -125,7 +124,7 @@ def _admm_step(P: np.ndarray, Z: np.ndarray, rho: float):
     V = P - h - U
     s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=0)), 1.0 / rho)
     psi2 = np.zeros_like(V) if s is None else V - V * s[None, :]
-    return np.stack([psi2, U + h + psi2 - P]), psi1, h
+    return np.stack([psi2, U + h + psi2 - P]), psi1
 
 
 def t2_split(psi, tol: float = 1e-5) -> T2Split:
@@ -152,11 +151,12 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
     bound = np.inf              # residual the point X must not exceed
     best_value, best_psi1, best_dual = np.inf, X[0], 0.0
     for it in range(1, MAX_ITER + 1):
-        TX, psi1, h = _admm_step(P, X, rho)
+        TX, psi1 = _admm_step(P, X, rho)
         tx = TX.reshape(-1).view(float)
         f = tx - X.reshape(-1).view(float)
         fnorm = np.sqrt(f @ f)
-        if fnorm <= bound:
+        accepted = fnorm <= bound
+        if accepted:
             # X is the next iterate z; extend the memory from the last one
             if last is not None:
                 j, stored = stored % MEMORY, stored + 1
@@ -172,21 +172,14 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
             cand = max_row_l2(psi1) + max_col_l2(P - psi1)
             if cand < best_value:
                 best_value, best_psi1 = cand, psi1
-            # the multiplier is rho * U; its negative, rescaled, is dual feasible,
-            # and so is it with the rows zeroed where psi1 is below its largest
-            # row norm, as the optimal multiplier is
-            C = -rho * TX[1]
-            rows = np.sqrt((np.abs(psi1) ** 2).sum(axis=1))
-            active = rows >= (1 - ACTIVE_ROW) * rows.max()
-            for c in (C, C * active[:, None]):
-                best_dual = max(best_dual, abs(np.vdot(_dual_feasible(c), P)))
+            # the multiplier is rho * U; its negative, rescaled, is dual feasible
+            best_dual = max(best_dual, abs(np.vdot(_dual_feasible(-rho * TX[1]), P)))
             if best_value - best_dual <= 0.5 * tol / scale:
                 break
-            # residual balancing; TAU is a power of two, so U rescales exactly
-            # the primal residual of the relaxed iterate h, not of psi1
-            rp = np.linalg.norm(h + TX[0] - P)
-            rd = rho * np.linalg.norm(TX[0] - X[0])
-            if rp > MU * rd or rd > MU * rp:
+            # residual balancing on the halves of f, the changes of psi2 and
+            # U; TAU is a power of two, so U rescales exactly
+            rd, rp = np.sqrt((f.reshape(2, -1) ** 2).sum(axis=1)) * (rho, 1.0)
+            if accepted and (rp > MU * rd or rd > MU * rp):
                 factor = TAU if rp > MU * rd else 1 / TAU
                 rho = rho * factor
                 plain[1] /= factor

@@ -531,13 +531,13 @@ def test_t2_split_certifies_when_extrapolation_keeps_failing(shape):
 def test_t2_split_closes_on_a_sparse_matrix():
     # with the unit penalty this case spent all 40000 steps at a gap of 1.38e-5;
     # the over-relaxed split takes 1200, or 5550 if balancing reads the
-    # unrelaxed residual, and 200 with acceleration and the active-row dual
+    # unrelaxed residual, and accelerated 500 on either residual
     rng = np.random.default_rng([4, 12, 8])
     psi = _complex(rng, 12) * (rng.random((12, 12)) < 0.3)
     sol = tw.t2_split(psi, tol=1e-5)
     assert not sol.budget_exhausted and sol.gap <= 1e-5
     assert sol.iterations < littlewood.MAX_ITER
-    assert sol.iterations <= 2500
+    assert sol.iterations <= 600
 
 
 def _t2_case(kind, n, rng, m=None):
@@ -579,24 +579,23 @@ def test_t2_split_dual_bound_never_exceeds_its_value():
 
 
 def test_t2_split_balances_on_the_relaxed_residual():
-    # balancing on the unrelaxed residual |psi1 + psi2 - P| spends all 40000
-    # steps here from the unit penalty and 8350 from the scaled start; the
-    # relaxed residual takes 4700 without acceleration
-    psi = _t2_case("rank one", 40, np.random.default_rng([40, 8, 1]))
-    sol = tw.t2_split(psi)
-    assert not sol.budget_exhausted and sol.gap <= 1e-5
-    assert sol.iterations < littlewood.MAX_ITER
-    assert sol.iterations <= 6000
-
-
-def test_t2_split_reads_the_dual_on_the_active_rows():
-    # the optimal multiplier vanishes on rows of psi1 below its largest row
-    # norm; zeroing them closes this case at step 100 instead of 250
-    psi = _t2_case("rank one", 40, np.random.default_rng([40, 8, 1]))
+    # at the check of step 100 the relaxed primal residual |h + psi2 - P| is
+    # 0.074 times the dual one, so rho halves and the split closes at step
+    # 150; the unrelaxed residual |psi1 + psi2 - P| reads 1.78 times, leaves
+    # rho as it is and takes 200 steps
+    psi = _t2_case("rank one", 24, np.random.default_rng([24, 24, 1, 8]))
     sol = tw.t2_split(psi)
     assert not sol.budget_exhausted and sol.gap <= 1e-5
     assert sol.iterations <= 150
-    assert sol.dual_bound <= sol.value
+
+
+def test_t2_split_closes_a_rank_one_matrix():
+    # without acceleration this case took 4700 steps, and 8350 with balancing
+    # on the unrelaxed residual; accelerated it takes 250 on either residual
+    psi = _t2_case("rank one", 40, np.random.default_rng([40, 8, 1]))
+    sol = tw.t2_split(psi)
+    assert not sol.budget_exhausted and sol.gap <= 1e-5
+    assert sol.iterations <= 300
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "row scaled", "sparse"])
