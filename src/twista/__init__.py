@@ -35,8 +35,8 @@ from .norms import (AmenabilityReport, FourierStieltjesCertificate,
                     fourier_stieltjes_norm, littlewood_T2_norm,
                     littlewood_norm, multiplier_apply, schur_action_norm,
                     schur_symbol)
-from .positivity import (GNSResult, PDKernel, autocorrelation_pd, coefficient,
-                         gns, is_sigma_pd, pd_kernel, positive_type_check,
+from .positivity import (GNSResult, autocorrelation_pd, coefficient, gns,
+                         is_sigma_pd, pd_kernel, positive_type_check,
                          positive_type_value)
 
 __version__ = "0.1.0"

@@ -93,8 +93,8 @@ def lift_matrix(coeffs: np.ndarray, sigma: Cocycle) -> np.ndarray:
     G = sigma.group
     n = G.order
     out = np.zeros((n, n), dtype=complex)
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    np.add.at(out, (G.mul, cols), coeffs[:, None] * sigma.values)
+    # each column of the table is a permutation: the n^2 (su, u) are distinct
+    out[G.mul, np.arange(n)] = coeffs[:, None] * sigma.values
     return out
 
 
@@ -134,6 +134,7 @@ class TwistedOperator:
             if err > RECONSTRUCTION_TOL * scale:
                 raise MissingCoefficients(
                     f"coefficients rebuild the matrix only to {err:.2e}")
+            return      # so the span residual is <= 2 RECONSTRUCTION_TOL scale
         proj = lift_matrix(operator_coefficients(m, self.cocycle), self.cocycle)
         resid = np.abs(proj - m).max()
         if resid > SPAN_RESIDUAL_TOL * max(1.0, np.abs(m).max()):
@@ -287,7 +288,10 @@ def function_from_json(doc: dict, group: Optional[FiniteGroup] = None,
         group = grp.file_group(doc, base_dir)
         if group is None:
             raise ValueError("function file lacks a group and none was supplied")
-    vals = np.array([complex(re, im) for re, im in doc["values"]])
+    try:
+        vals = np.array([complex(re, im) for re, im in doc["values"]])
+    except TypeError as exc:
+        raise ValueError(f"function values must be [re, im] number pairs: {exc}") from None
     return GroupFunction(group, vals)
 
 

@@ -303,7 +303,11 @@ def cocycle_from_json(doc: dict, group: Optional[FiniteGroup] = None,
         group = grp.file_group(doc, base_dir)
         if group is None:
             raise CocycleViolation("cocycle file lacks a group and none was supplied")
-    return validate_cocycle(doc["exponents"], int(doc["m"]), group)
+    try:
+        m, table = int(doc["m"]), np.asarray(doc["exponents"], dtype=np.int64)
+    except TypeError as exc:
+        raise ValueError(f"cocycle m and exponents must be integers: {exc}") from None
+    return validate_cocycle(table, m, group)
 
 
 def save_cocycle(c: Cocycle, path) -> None:

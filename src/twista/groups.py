@@ -36,18 +36,8 @@ class FiniteGroup:
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
 
     @property
     def is_abelian(self) -> bool:
@@ -113,9 +103,6 @@ class FiniteGroup:
 class ValidationReport:
     ok: bool
     violations: tuple = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def validate_table(mul) -> ValidationReport:
@@ -277,7 +264,7 @@ def build_group(kind: str, **kwargs) -> FiniteGroup:
     """Dispatch constructor used by the CLI.
 
     kind: cyclic(n) | product(g1, g2) | cyclic_product(orders) |
-          dihedral(n) | symmetric(n) | from_table(table)
+          dihedral(n) | symmetric(n)
     """
     kind = kind.replace("-", "_")
     if kind == "cyclic":
@@ -290,8 +277,6 @@ def build_group(kind: str, **kwargs) -> FiniteGroup:
         return dihedral(int(kwargs["n"]))
     if kind == "symmetric":
         return symmetric(int(kwargs["n"]))
-    if kind == "from_table":
-        return from_table(kwargs["table"], kwargs.get("labels"))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -313,9 +298,9 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
-    mul = doc["mul"]
-    labels = doc.get("labels")
-    g = from_table(mul, labels)
+    if not isinstance(doc, dict):
+        raise ValueError("a group document must be a JSON object")
+    g = from_table(doc["mul"], doc.get("labels"))
     if g.order != int(doc.get("order", g.order)):
         raise InvalidTable("declared order does not match table size")
     return g
@@ -335,6 +320,8 @@ def file_group(doc: dict, base_dir: Optional[Path] = None) -> Optional[FiniteGro
     The entry is either an inline group document or a path, taken relative to
     base_dir (the directory of the file) unless absolute.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a function or cocycle document must be a JSON object")
     entry = doc.get("group")
     if entry is None:
         return None

@@ -57,7 +57,7 @@ class MultiplierCertificate:
     eta: np.ndarray
     dual_bound: float
     gap: float
-    sdp: SDPSolution = field(repr=False, default=None)
+    sdp: SDPSolution = field(repr=False)
 
 
 def fourier_stieltjes_norm(phi: GroupFunction, sigma: Cocycle) -> FourierStieltjesCertificate:
@@ -117,14 +117,10 @@ def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
     from . import sdp
     F = schur_symbol(phi, sigma1, sigma2)
     sol = sdp.gamma2(F, tol=tol)
-    # gamma2 returns F[i][j] = <xi(j), eta(i)>; transpose the bookkeeping
-    xi = sol.eta.conj()
-    eta = sol.xi.conj()
-    recon = xi @ eta.conj().T
-    err = float(np.abs(recon - F).max())
+    err = float(np.abs(sol.xi @ sol.eta.conj().T - F).max())
     if err > 1e-8 * max(1.0, sol.value):
         raise CertificateError(f"factorization residual {err:.2e}", partial=sol)
-    return MultiplierCertificate(value=sol.value, xi=xi, eta=eta,
+    return MultiplierCertificate(value=sol.value, xi=sol.xi, eta=sol.eta,
                                  dual_bound=sol.dual_value, gap=sol.gap, sdp=sol)
 
 
@@ -305,10 +301,10 @@ def certificate_to_json(cert, wall_time_ms: Optional[float] = None) -> dict:
         # dual_bound is the trace norm of diag(dual_u) xi eta^H diag(dual_v)
         doc = {"norm": "cb-multiplier", "value": cert.value,
                "dual_bound": cert.dual_bound, "gap": cert.gap,
-               "iterations": sol.iterations if sol else None,
-               "ill_conditioned": sol.ill_conditioned if sol else None,
-               "dual_u": sol.dual_u.tolist() if sol else None,
-               "dual_v": sol.dual_v.tolist() if sol else None,
+               "iterations": sol.iterations,
+               "ill_conditioned": sol.ill_conditioned,
+               "dual_u": sol.dual_u.tolist(),
+               "dual_v": sol.dual_v.tolist(),
                "xi": {"shape": xi_shape, "entries": xi_flat},
                "eta": {"shape": eta_shape, "entries": eta_flat}}
     elif isinstance(cert, T2Split):

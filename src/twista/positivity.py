@@ -23,15 +23,6 @@ GNS_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PDKernel:
-    """Translation kernel K[s, t] = conj(sigma(s, s^-1)) phi(s^-1 t) sigma(s^-1, t)."""
-
-    group: object
-    cocycle: Cocycle
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class GNSResult:
     dim: int
     rep: np.ndarray        # (|G|, dim, dim) unitaries
@@ -39,15 +30,17 @@ class GNSResult:
     residual: float        # max |<pi(s) xi, xi> - phi(s)|
 
 
-def pd_kernel(phi: GroupFunction, sigma: Cocycle) -> PDKernel:
-    """Kernel over the full element list in fixed index order (reproducible)."""
+def pd_kernel(phi: GroupFunction, sigma: Cocycle) -> np.ndarray:
+    """Translation kernel K[s, t] = conj(sigma(s, s^-1)) phi(s^-1 t) sigma(s^-1, t).
+
+    Rows and columns follow the element indices, so K is reproducible.
+    """
     G = same_group(phi, sigma)
     idx = np.arange(G.order)
     sinv_t = G.mul[G.inv]                     # [s, t] = s^-1 t
-    K = (np.conj(sigma.values[idx, G.inv])[:, None]   # conj sigma(s, s^-1)
-         * phi.values[sinv_t]                         # phi(s^-1 t)
-         * sigma.values[G.inv])                       # sigma(s^-1, t)
-    return PDKernel(G, sigma, K)
+    return (np.conj(sigma.values[idx, G.inv])[:, None]   # conj sigma(s, s^-1)
+            * phi.values[sinv_t]                         # phi(s^-1 t)
+            * sigma.values[G.inv])                       # sigma(s^-1, t)
 
 
 def is_sigma_pd(phi: GroupFunction, sigma: Cocycle, tol: float = PSD_TOL):
@@ -56,7 +49,7 @@ def is_sigma_pd(phi: GroupFunction, sigma: Cocycle, tol: float = PSD_TOL):
     Positive iff the kernel is Hermitian and PSD, both up to tol scaled by
     the kernel operator norm (scale-free threshold).
     """
-    K = pd_kernel(phi, sigma).matrix
+    K = pd_kernel(phi, sigma)
     H = 0.5 * (K + K.conj().T)
     w = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
@@ -143,7 +136,7 @@ def gns(phi: GroupFunction, sigma: Cocycle, rank_tol: float = GNS_RANK_TOL) -> G
     if not ok:
         raise NotPositiveDefinite(f"kernel min eigenvalue {mineig:.3e}")
 
-    K = pd_kernel(phi, sigma).matrix
+    K = pd_kernel(phi, sigma)
     K = 0.5 * (K + K.conj().T)
     w, Q = np.linalg.eigh(K)
     keep = w > rank_tol * max(w.max(), 0.0)

@@ -60,7 +60,7 @@ class SDPSolution:
     dual_value: float
     gap: float
     iterations: int
-    xi: np.ndarray              # F[i, j] = <xi(j), eta(i)> row families
+    xi: np.ndarray              # F = xi eta^H: F[i, j] = <xi(i), eta(j)>
     eta: np.ndarray
     ill_conditioned: bool = False
     dual_u: np.ndarray = field(default=None, repr=False)
@@ -173,6 +173,8 @@ def _dual_trace_bound(F, Zp):
 def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     """Compute gamma2(F) with a certified gap <= tol.
 
+    The factors are the two blocks of rows of the final Gram factor, so
+    F = xi eta^H and gamma2(F) <= max row norm of xi times that of eta.
     Raises SolverFailure (carrying the partial solution) when MAX_ITER
     iterations end before the certificate closes.
     """
@@ -221,12 +223,10 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     best_dual = 0.0
     best_uv = (np.ones(n) / np.sqrt(n), np.ones(n) / np.sqrt(n))
     ill = False
-    iters_done = 0
     # Schur complement: only its upper triangle is written, the rest stays 0
     M = np.zeros((m, m))
     Mdiag = M.reshape(-1)[::m + 1]
     for it in range(1, MAX_ITER + 1):
-        iters_done = it
         gap_inner = float(np.real(np.vdot(Zp, S)))
         mu = gap_inner / (2 * n)
 
@@ -331,16 +331,12 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     w, Q = _eigh(S)
     w = np.clip(w, 0.0, None)
     keep = w > 1e-14 * max(w.max(), 1.0)
-    L = Q[:, keep] * np.sqrt(w[keep])[None, :]
-    top = np.sqrt(scale) * L[:n, :]         # F[i, j] = <top[i], bot[j]>
-    bot = np.sqrt(scale) * L[n:, :]
-    gram = scale * S
-    # returned convention: F[i][j] = <xi(j), eta(i)>
-    sol = SDPSolution(value=value, gram=gram, dual_value=dual_value, gap=gap,
-                      iterations=iters_done, xi=bot.conj(), eta=top.conj(),
+    L = np.sqrt(scale) * (Q[:, keep] * np.sqrt(w[keep])[None, :])
+    sol = SDPSolution(value=value, gram=scale * S, dual_value=dual_value, gap=gap,
+                      iterations=it, xi=L[:n], eta=L[n:],
                       ill_conditioned=ill, dual_u=best_uv[0], dual_v=best_uv[1])
     if not gap <= tol:          # a NaN gap fails too
         raise SolverFailure(
             f"gamma2 reached gap {gap:.3e} > tol {tol:.1e} "
-            f"after {iters_done} iterations", partial=sol)
+            f"after {it} iterations", partial=sol)
     return sol

@@ -138,6 +138,9 @@ def test_lift_identity_and_laws(s3_sigma):
     assert np.abs(prod.matrix - tw.lift(f, sigma).matrix @ tw.lift(h, sigma).matrix).max() < 1e-12
     star = tw.lift(tw.twisted_involution(f, sigma), sigma)
     assert np.abs(star.matrix - tw.lift(f, sigma).matrix.conj().T).max() < 1e-12
+    # one term per entry, so the scatter and the sum of the lambdas agree exactly
+    lams = sum(c * tw.regular_rep(sigma, s) for s, c in enumerate(f.values))
+    assert np.array_equal(tw.lift_matrix(f.values, sigma), lams)
 
 
 def test_lift_injectivity_column_zero(s3_sigma):
@@ -302,6 +305,9 @@ def test_twisted_operator_invariants(s3_sigma):
         tw.TwistedOperator(g, sigma, bad)
     with pytest.raises(MissingCoefficients):
         tw.comultiply(tw.TwistedOperator(g, sigma, T.matrix))
+    # given coefficients must rebuild the matrix
+    with pytest.raises(MissingCoefficients, match="rebuild"):
+        tw.TwistedOperator(g, sigma, T.matrix, f.values + 1e-6)
 
 
 def test_group_mismatch_raises(s3_sigma):

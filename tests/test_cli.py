@@ -72,6 +72,33 @@ def test_group_build_names_a_missing_parameter(workdir, capsys, kind, flag):
     assert not out.exists()
 
 
+_Z3 = {"order": 3, "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+_ZERO = [[0, 0, 0]] * 3
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("function", {"group": _Z3, "values": 5}),
+    ("function", {"group": _Z3, "values": [["a", 0], [0, 0], [0, 0]]}),
+    ("function", {"group": _Z3, "values": [[1, 0], None, [0, 0]]}),
+    ("function", [[1, 0], [0, 0], [0, 0]]),
+    ("cocycle", {"group": _Z3, "m": None, "exponents": _ZERO}),
+    ("cocycle", {"group": _Z3, "m": 2, "exponents": None}),
+    ("group", _Z3["mul"]),
+])
+def test_malformed_input_file_is_a_validation_failure(workdir, capsys, kind, doc):
+    # a wrongly typed entry is bad input, reported on one line, not a traceback
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    phi = workdir / "phi.json"
+    phi.write_text(json.dumps({"group": _Z3, "values": [[1, 0]] * 3}))
+    argv = {"function": ["norm", "fourier", "--phi", bad, "--sigma", "trivial"],
+            "cocycle": ["cocycle", "normalize", "--in", bad],
+            "group": ["norm", "littlewood", "--phi", phi, "--group", bad]}[kind]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_missing_file_is_io_error(workdir):
     assert run(["group", "validate", "--in", workdir / "nope.json"]) == 3
 

@@ -108,8 +108,9 @@ def test_cb_certificate_reconstruction(z3z3):
     triv = tw.trivial_cocycle(g)
     cert = tw.cb_multiplier_norm(phi, triv, sigma)
     F = tw.schur_symbol(phi, triv, sigma)
-    rec = np.einsum("sk,tk->st", cert.xi, np.conj(cert.eta))
-    assert np.abs(rec - F).max() <= 1e-8 * max(1.0, cert.value)
+    # gamma2 and the certificate share one convention, F = xi eta^H
+    assert cert.xi is cert.sdp.xi and cert.eta is cert.sdp.eta
+    assert np.abs(cert.xi @ cert.eta.conj().T - F).max() <= 1e-8 * max(1.0, cert.value)
     mx = np.linalg.norm(cert.xi, axis=1).max()
     me = np.linalg.norm(cert.eta, axis=1).max()
     assert mx * me <= cert.value + cert.gap + 1e-9

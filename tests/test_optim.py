@@ -85,8 +85,8 @@ def test_gamma2_factorization_convention():
     rng = np.random.default_rng(2)
     F = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     sol = tw.gamma2(F, tol=1e-6)
-    # F[i][j] = <xi(j), eta(i)> with <a, b> = sum a conj(b)
-    rec = np.einsum("jk,ik->ij", sol.xi, np.conj(sol.eta))
+    # F = xi eta^H: F[i][j] = <xi(i), eta(j)> with <a, b> = sum a conj(b)
+    rec = np.einsum("ik,jk->ij", sol.xi, np.conj(sol.eta))
     assert np.abs(rec - F).max() < 1e-8 * max(1.0, sol.value)
     max_xi = np.linalg.norm(sol.xi, axis=1).max()
     max_eta = np.linalg.norm(sol.eta, axis=1).max()
@@ -331,21 +331,6 @@ def test_gamma2_agrees_with_the_bounded_diagonal_form(name):
     sol = tw.gamma2(_trajectory_input(name))
     assert sol.dual_value <= old_value
     assert abs(sol.value - old_value) <= 1e-6
-
-
-def test_gamma2_schur_working_set_stays_below_three_schur_matrices():
-    # M (m x m doubles) and its Cholesky factor are the floor; the rest of
-    # the assembly must stay small next to them
-    n = 24
-    m = 2 * n * n + 1
-    F = _complex(np.random.default_rng(24), n)
-    tracemalloc.start()
-    try:
-        tw.gamma2(F)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * m * m * 8
 
 
 def test_gamma2_schur_working_set_stays_below_two_schur_matrices():

@@ -21,13 +21,13 @@ def z3z3_sigma():
 def test_kernel_delta_e_is_identity(z3z3_sigma):
     g, sigma = z3z3_sigma
     norm_sigma, _ = tw.normalize_cocycle(sigma)
-    K = tw.pd_kernel(tw.delta(g, 0), norm_sigma).matrix
+    K = tw.pd_kernel(tw.delta(g, 0), norm_sigma)
     assert np.abs(K - np.eye(g.order)).max() < 1e-14
 
 
 def test_kernel_constant_one_trivial_sigma():
     g = tw.cyclic(5)
-    K = tw.pd_kernel(tw.GroupFunction(g, np.ones(5)), tw.trivial_cocycle(g)).matrix
+    K = tw.pd_kernel(tw.GroupFunction(g, np.ones(5)), tw.trivial_cocycle(g))
     assert np.abs(K - np.ones((5, 5))).max() < 1e-15
     ok, mineig = tw.is_sigma_pd(tw.GroupFunction(g, np.ones(5)), tw.trivial_cocycle(g))
     assert ok and mineig > -1e-12
@@ -47,7 +47,7 @@ def test_delta_s_not_pd_on_z2():
     g = tw.cyclic(2)
     triv = tw.trivial_cocycle(g)
     phi = tw.delta(g, 1)
-    K = tw.pd_kernel(phi, triv).matrix
+    K = tw.pd_kernel(phi, triv)
     assert np.abs(K - np.array([[0, 1], [1, 0]])).max() < 1e-15
     ok, mineig = tw.is_sigma_pd(phi, triv)
     assert not ok and abs(mineig + 1.0) < 1e-12

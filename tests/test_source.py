@@ -52,6 +52,18 @@ def _numpy_blas_use(node) -> bool:
             and node.attr != "LinAlgError")
 
 
+def test_no_unbuffered_ufunc_scatter_in_the_package():
+    # every scatter in the package writes distinct indices, so plain fancy
+    # assignment does the job; through np.add.at, lift_matrix took 0.31 ms
+    # per call on S5 against 0.075 ms by assignment (best of 50, 2 cores)
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "at"]
+    assert SOURCE.is_dir() and not found, found
+
+
 def test_sdp_uses_one_blas():
     # numpy and scipy link separate OpenBLAS builds, each with a thread pool
     # that spins after a call; the IPM stays in scipy's, which factors M
