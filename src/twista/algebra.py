@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +20,6 @@ from .errors import GroupMismatch, MissingCoefficients
 from .groups import FiniteGroup, same_group
 
 SPAN_RESIDUAL_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ def regular_rep_tensor(sigma: Cocycle) -> np.ndarray:
 
 
 def lift_matrix(coeffs: np.ndarray, sigma: Cocycle) -> np.ndarray:
-    """sum_s coeffs[s] lambda_sigma(s) as a dense matrix."""
+    """sum_s coeffs[..., s] lambda_sigma(s) as dense matrices, over leading axes."""
     G = sigma.group
     n = G.order
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=complex)
     # each column of the table is a permutation: the n^2 (su, u) are distinct
-    out[G.mul, np.arange(n)] = coeffs[:, None] * sigma.values
+    out[..., G.mul, np.arange(n)] = coeffs[..., :, None] * sigma.values
     return out
 
 
@@ -113,51 +113,50 @@ def operator_coefficients(matrix: np.ndarray, sigma: Cocycle) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwistedOperator:
-    """Element of the twisted group von Neumann algebra VN(G, sigma)."""
+    """sum_s coeffs[s] lambda_sigma(s), an element of VN(G, sigma).
+
+    The operator is held by its coefficients alone; ``matrix`` is lifted
+    from them on first use and kept.  A matrix enters only through
+    from_matrix, which checks that it lies on the span of the lambdas.
+    """
 
     group: FiniteGroup
     cocycle: Cocycle
-    matrix: np.ndarray
-    coeffs: Optional[np.ndarray] = None
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+        c = np.ascontiguousarray(self.coeffs, dtype=complex)
+        object.__setattr__(self, "coeffs", c)
+        c.setflags(write=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = lift_matrix(self.coeffs, self.cocycle)
         m.setflags(write=False)
-        if self.coeffs is not None:
-            c = np.ascontiguousarray(self.coeffs, dtype=complex)
-            object.__setattr__(self, "coeffs", c)
-            c.setflags(write=False)
-            rebuilt = lift_matrix(c, self.cocycle)
-            err = np.abs(rebuilt - m).max()
-            scale = max(1.0, np.abs(m).max())
-            if err > RECONSTRUCTION_TOL * scale:
-                raise MissingCoefficients(
-                    f"coefficients rebuild the matrix only to {err:.2e}")
-            return      # so the span residual is <= 2 RECONSTRUCTION_TOL scale
-        proj = lift_matrix(operator_coefficients(m, self.cocycle), self.cocycle)
-        resid = np.abs(proj - m).max()
+        return m
+
+    @classmethod
+    def from_matrix(cls, group: FiniteGroup, cocycle: Cocycle, matrix) -> "TwistedOperator":
+        """The operator of a matrix on the span; MissingCoefficients off it."""
+        m = np.asarray(matrix, dtype=complex)
+        c = operator_coefficients(m, cocycle)
+        resid = np.abs(lift_matrix(c, cocycle) - m).max()
         if resid > SPAN_RESIDUAL_TOL * max(1.0, np.abs(m).max()):
             raise MissingCoefficients(
                 f"matrix is off the span of the twisted translations by {resid:.2e}")
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        if self.coeffs is not None:
-            return self.coeffs
-        return operator_coefficients(self.matrix, self.cocycle)
+        return cls(group, cocycle, c)
 
 
 def lift(f: GroupFunction, sigma: Cocycle) -> TwistedOperator:
     """Lift of f: the operator sum_s f(s) lambda_sigma(s)."""
     same_group(f, sigma)
-    return TwistedOperator(f.group, sigma, lift_matrix(f.values, sigma), f.values)
+    return TwistedOperator(f.group, sigma, f.values)
 
 
 def pair_operator(T: TwistedOperator, phi: GroupFunction) -> complex:
     """Duality pairing <T, phi> = sum_s c_s phi(s)."""
     same_group(T, phi)
-    return complex(np.sum(T.coefficients * phi.values))
+    return complex(np.sum(T.coeffs * phi.values))
 
 
 def bullet_action(s: int, u: GroupFunction, sigma: Cocycle) -> GroupFunction:
@@ -229,8 +228,6 @@ def comultiply(T: TwistedOperator) -> np.ndarray:
     zero elsewhere; distinct s give distinct rows, so one assignment writes
     all n^3 nonzero entries.
     """
-    if T.coeffs is None:
-        raise MissingCoefficients("comultiplication needs generator coefficients")
     G = T.group
     n = G.order
     u = np.arange(n)
@@ -275,19 +272,14 @@ def center_dimension(sigma: Cocycle) -> int:
     return len(np.unique(class_of[regular]))
 
 
-def function_to_json(f: GroupFunction, inline_group: bool = True) -> dict:
-    doc = {"values": [[float(z.real), float(z.imag)] for z in f.values]}
-    if inline_group:
-        doc["group"] = grp.group_to_json(f.group)
-    return doc
+def function_to_json(f: GroupFunction) -> dict:
+    return {"values": [[float(z.real), float(z.imag)] for z in f.values],
+            "group": grp.group_to_json(f.group)}
 
 
 def function_from_json(doc: dict, group: Optional[FiniteGroup] = None,
                        base_dir: Optional[Path] = None) -> GroupFunction:
-    if group is None:
-        group = grp.file_group(doc, base_dir)
-        if group is None:
-            raise ValueError("function file lacks a group and none was supplied")
+    group = grp.file_group(doc, group, base_dir)
     try:
         vals = np.array([complex(re, im) for re, im in doc["values"]])
     except TypeError as exc:

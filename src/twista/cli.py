@@ -46,53 +46,48 @@ def _load_cocycle_arg(arg, group=None) -> cocycles.Cocycle:
     return cocycles.load_cocycle(arg, group)
 
 
-# the flag that carries the one parameter of each `group build --kind`
-_BUILD_FLAG = {"cyclic": "n", "dihedral": "n", "symmetric": "n",
-               "cyclic-product": "orders", "product": "inputs"}
+def _validate(args, load, verdict) -> int:
+    """Write the verdict of the loader on --in: verdict(loaded), or its refusal.
+
+    A refusal is written as {"ok": false, "violations": [...]} and raised
+    again, so main gives it the exit code it has on every other command.
+    """
+    try:
+        loaded = load(args.input)
+    except (TwistaError, ValueError) as exc:
+        violations = getattr(exc, "violations", None) or [(str(exc),)]
+        _write_json(args.output, {"ok": False,
+                                  "violations": [list(map(str, v)) for v in violations]})
+        raise
+    _write_json(args.output, verdict(loaded))
+    return EXIT_OK
 
 
 def cmd_group(args) -> int:
     if args.action == "build":
-        flag = _BUILD_FLAG[args.kind]
+        flag = groups.KINDS[args.kind][1]
         value = getattr(args, flag)
         if value is None:
             raise ValueError(f"--kind {args.kind} requires --{flag}")
         if flag == "orders":
-            params = {"orders": [int(q) for q in value.split(",")]}
+            value = [int(q) for q in value.split(",")]
         elif flag == "inputs":
-            params = dict(zip(("g1", "g2"), map(groups.load_group, value)))
-        else:
-            params = {"n": value}
-        g = groups.build_group(args.kind, **params)
+            value = [groups.load_group(path) for path in value]
+        g = groups.build_group(args.kind, value)
         groups.save_group(g, args.output)
         print(f"wrote group of order {g.order} to {args.output}")
         return EXIT_OK
     if args.action == "validate":
-        doc = json.loads(Path(args.input).read_text())
-        report = groups.validate_table(np.asarray(doc["mul"]))
-        out = {"ok": report.ok,
-               "violations": [list(map(str, v)) for v in report.violations]}
-        _write_json(args.output, out)
-        return EXIT_OK if report.ok else EXIT_VALIDATION
+        return _validate(args, groups.load_group, lambda g: {"ok": True, "violations": []})
     raise AssertionError(args.action)
 
 
 def cmd_cocycle(args) -> int:
     group = groups.load_group(args.group) if args.group else None
     if args.action == "validate":
-        doc = json.loads(Path(args.input).read_text())
-        try:
-            c = cocycles.cocycle_from_json(doc, group, base_dir=Path(args.input).parent)
-        except CocycleViolation as exc:
-            _write_json(args.output, {"ok": False,
-                                      "violations": [list(map(str, v))
-                                                     for v in exc.violations]})
-            return EXIT_VALIDATION
-        _write_json(args.output, {"ok": True, "m": c.m})
-        return EXIT_OK
+        return _validate(args, lambda path: cocycles.load_cocycle(path, group),
+                         lambda c: {"ok": True, "m": c.m})
     if args.action == "bilinear":
-        if group is None:
-            raise ValueError("--group is required")
         entries = [int(x) for x in args.A.split(",")]
         k = math.isqrt(len(entries))
         if k * k != len(entries):
@@ -224,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("group", help="build or validate group files")
     gsub = g.add_subparsers(dest="action", required=True)
     gb = gsub.add_parser("build")
-    gb.add_argument("--kind", required=True,
-                    choices=["cyclic", "dihedral", "symmetric",
-                             "cyclic-product", "product"])
+    gb.add_argument("--kind", required=True, choices=groups.KINDS)
     gb.add_argument("--n", type=int)
     gb.add_argument("--orders")
     gb.add_argument("--inputs", nargs=2)

@@ -86,8 +86,8 @@ class CoboundaryWitness:
         return CoboundaryWitness(self.group, self.m, (-self.xi) % self.m)
 
 
-def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
-    """List up to `limit` violations of the cocycle identity or normalization.
+def cocycle_violations(table, m: int, group: FiniteGroup):
+    """List up to 10 violations of the cocycle identity or normalization.
 
     The identity is checked on S x G x G for a generating set S: its defect
     F = delta e has delta F = 0, so F(sb, c, d) = F(b, c, d) once F vanishes
@@ -104,7 +104,7 @@ def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
     out = [("normalization", (int(s), 0)) for s in np.flatnonzero(e[:, 0])]
     out += [("normalization", (0, int(t))) for t in np.flatnonzero(e[0, :])]
     if out:
-        return out[:limit]
+        return out[:10]
     # one generator at a time, so the work arrays stay n x n
     for s in group.generators[1:]:
         defect = e[mul[s]]                           # sigma(st, r)
@@ -113,8 +113,8 @@ def cocycle_violations(table, m: int, group: FiniteGroup, limit: int = 10):
         defect -= e                                  # sigma(t, r)
         defect %= m
         out += [("identity", (int(s), int(t), int(r)))
-                for t, r in np.argwhere(defect)[:limit - len(out)]]
-        if len(out) >= limit:
+                for t, r in np.argwhere(defect)[:10 - len(out)]]
+        if len(out) >= 10:
             break
     return out
 
@@ -143,38 +143,34 @@ def bilinear_cocycle(group: FiniteGroup, A, orders: Optional[Sequence[int]] = No
     (requires q_i * A_ij = 0 = q_j * A_ij mod m).
     """
     if orders is None:
-        orders = grp.infer_cyclic_orders(group)
-    orders = [int(q) for q in orders]
-    if int(np.prod(orders)) != group.order:
-        raise NotCyclicProduct("declared factor orders do not match the group order")
-    if not np.array_equal(grp.cyclic_product(orders).mul, group.mul):
-        raise NotCyclicProduct("group is not the mixed-radix product of the declared factors")
-    k = len(orders)
+        orders = grp.infer_cyclic_orders(group)      # checks the layout itself
+    else:
+        orders = [int(q) for q in orders]
+        if int(np.prod(orders)) != group.order:
+            raise NotCyclicProduct("declared factor orders do not match the group order")
+        if not np.array_equal(grp.cyclic_product(orders).mul, group.mul):
+            raise NotCyclicProduct(
+                "group is not the mixed-radix product of the declared factors")
+    q = np.array(orders, dtype=np.int64)
     A = np.asarray(A, dtype=np.int64)
-    if A.shape != (k, k):
-        raise ValueError(f"A must be {k}x{k}")
+    if A.shape != (len(q), len(q)):
+        raise ValueError(f"A must be {len(q)}x{len(q)}")
 
     L = lcm(*orders)
     if m is None:
         m = L
-        scale = np.array([[ (L // qi) * (L // qj) for qj in orders] for qi in orders],
-                         dtype=np.int64)
-        B = A * scale
+        B = A * np.outer(L // q, L // q)
     else:
         m = int(m)
         B = A
-        for i, qi in enumerate(orders):
-            for j, qj in enumerate(orders):
-                if (A[i, j] * qi) % m or (A[i, j] * qj) % m:
-                    raise CocycleViolation(
-                        f"pairing entry A[{i},{j}] is not well defined modulo m={m}")
+        bad = np.argwhere((A * q[:, None]) % m | (A * q[None, :]) % m)
+        if bad.size:
+            i, j = bad[0]
+            raise CocycleViolation(
+                f"pairing entry A[{i},{j}] is not well defined modulo m={m}")
 
-    # digit decomposition, last factor fastest
-    digits = np.empty((group.order, k), dtype=np.int64)
-    idx = np.arange(group.order)
-    for pos in range(k - 1, -1, -1):
-        digits[:, pos] = idx % orders[pos]
-        idx = idx // orders[pos]
+    # digits of each element, last factor fastest
+    digits = np.stack(np.unravel_index(np.arange(group.order), orders), axis=1)
     expo = np.einsum("si,ij,tj->st", digits, B, digits) % m
     return validate_cocycle(expo, m, group)
 
@@ -290,24 +286,18 @@ def random_coboundary_twist(c: Cocycle, m: int, rng) -> tuple[Cocycle, Coboundar
     return similarity_apply(c, xi), xi
 
 
-def cocycle_to_json(c: Cocycle, inline_group: bool = True) -> dict:
-    doc = {"m": c.m, "exponents": c.exponents.tolist()}
-    if inline_group:
-        doc["group"] = grp.group_to_json(c.group)
-    return doc
+def cocycle_to_json(c: Cocycle) -> dict:
+    return {"m": c.m, "exponents": c.exponents.tolist(),
+            "group": grp.group_to_json(c.group)}
 
 
 def cocycle_from_json(doc: dict, group: Optional[FiniteGroup] = None,
                       base_dir: Optional[Path] = None) -> Cocycle:
-    if group is None:
-        group = grp.file_group(doc, base_dir)
-        if group is None:
-            raise CocycleViolation("cocycle file lacks a group and none was supplied")
-    try:
-        m, table = int(doc["m"]), np.asarray(doc["exponents"], dtype=np.int64)
-    except TypeError as exc:
-        raise ValueError(f"cocycle m and exponents must be integers: {exc}") from None
-    return validate_cocycle(table, m, group)
+    group = grp.file_group(doc, group, base_dir)
+    m, table = grp.integer_entries(doc.get("m")), grp.integer_entries(doc.get("exponents"))
+    if m is None or m.ndim or table is None:
+        raise ValueError("cocycle m must be an integer and exponents a table of integers")
+    return validate_cocycle(table, int(m), group)
 
 
 def save_cocycle(c: Cocycle, path) -> None:

@@ -5,20 +5,24 @@ class TwistaError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidTable(TwistaError):
-    """A Cayley table fails the group axioms."""
+class _Refusal(TwistaError):
+    """Bad input refused with the list of what was found wrong."""
+
+    def __init__(self, message, violations=None):
+        super().__init__(message)
+        self.violations = list(violations or [])
+
+
+class InvalidTable(_Refusal):
+    """A Cayley table fails the group axioms or its file's declared order."""
 
 
 class UnsupportedSize(TwistaError):
     """A construction exceeds the supported size cap."""
 
 
-class CocycleViolation(TwistaError):
+class CocycleViolation(_Refusal):
     """A table fails the 2-cocycle identity or normalization rows."""
-
-    def __init__(self, message, violations=None):
-        super().__init__(message)
-        self.violations = list(violations or [])
 
 
 class NotCyclicProduct(TwistaError):
@@ -30,7 +34,7 @@ class GroupMismatch(TwistaError):
 
 
 class MissingCoefficients(TwistaError):
-    """A twisted operator lacks generator coefficients."""
+    """A matrix lies off the span of the twisted translations."""
 
 
 class NotPositiveDefinite(TwistaError):

@@ -117,14 +117,9 @@ def validate_table(mul) -> ValidationReport:
     n = mul.shape[0]
     if n == 0:
         return ValidationReport(False, (("empty table",),))
-    if not np.issubdtype(mul.dtype, np.integer):
-        try:
-            as_int = mul.astype(np.int64)
-        except (TypeError, ValueError):
-            return ValidationReport(False, (("non-integer entries",),))
-        if not np.array_equal(as_int, mul):
-            return ValidationReport(False, (("non-integer entries",),))
-        mul = as_int
+    mul = integer_entries(mul)
+    if mul is None:
+        return ValidationReport(False, (("non-integer entries",),))
     if mul.min() < 0 or mul.max() >= n:
         return ValidationReport(False, ((f"entries outside [0, {n})",),))
 
@@ -152,6 +147,22 @@ def validate_table(mul) -> ValidationReport:
         if len(violations) >= 10:
             break
     return ValidationReport(not violations, tuple(violations))
+
+
+def integer_entries(x) -> Optional[np.ndarray]:
+    """x as an int64 array when every entry is an integer, else None.
+
+    A whole float such as 2.0 counts; 2.9, null, strings and integers past
+    int64 do not.  The one integrality rule of the file loaders: Cayley
+    table entries, the declared group order, cocycle m and exponents.
+    """
+    a = np.asarray(x)
+    try:
+        with np.errstate(invalid="ignore"):
+            as_int = a.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if np.array_equal(as_int, a) else None
 
 
 def generating_set(mul) -> np.ndarray:
@@ -183,10 +194,13 @@ def _inverse_table(mul: np.ndarray) -> np.ndarray:
 def from_table(mul, labels=None) -> FiniteGroup:
     report = validate_table(mul)
     if not report.ok:
-        raise InvalidTable(f"invalid Cayley table: {report.violations}")
+        raise InvalidTable(f"invalid Cayley table: {report.violations}", report.violations)
     mul = np.asarray(mul, dtype=np.int64)
-    return FiniteGroup(order=mul.shape[0], mul=mul, inv=_inverse_table(mul),
-                       labels=tuple(labels) if labels is not None else None)
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != len(mul):
+            raise ValueError(f"{len(labels)} labels for a group of order {len(mul)}")
+    return FiniteGroup(order=mul.shape[0], mul=mul, inv=_inverse_table(mul), labels=labels)
 
 
 def same_group(*objs) -> FiniteGroup:
@@ -248,36 +262,30 @@ def symmetric(n: int) -> FiniteGroup:
         raise InvalidTable("symmetric parameter must be positive")
     if n > SYMMETRIC_CAP:
         raise UnsupportedSize(f"symmetric({n}) exceeds the cap n <= {SYMMETRIC_CAP}")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    mul = np.empty((size, size), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            # composition p after q: x -> p[q[x]]
-            mul[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    perms = np.array(list(itertools.permutations(range(n))))
+    # p after q is x -> p[q[x]], row (i, j) of perms[:, perms]; the base-n
+    # codes of the permutations increase in lexicographic order
+    powers = n ** np.arange(n - 1, -1, -1)
+    mul = np.searchsorted(perms @ powers, perms[:, perms] @ powers)
     labels = tuple("".join(map(str, p)) for p in perms)
-    return FiniteGroup(order=size, mul=mul, inv=_inverse_table(mul), labels=labels)
+    return FiniteGroup(order=len(perms), mul=mul, inv=_inverse_table(mul), labels=labels)
 
 
-def build_group(kind: str, **kwargs) -> FiniteGroup:
-    """Dispatch constructor used by the CLI.
+# the kinds of `twista group build`: each constructor and the name of its
+# one parameter, which is also the command's flag for it
+KINDS = {"cyclic": (cyclic, "n"), "dihedral": (dihedral, "n"),
+         "symmetric": (symmetric, "n"),
+         "cyclic-product": (cyclic_product, "orders"),
+         "product": (lambda pair: direct_product(*pair), "inputs")}
 
-    kind: cyclic(n) | product(g1, g2) | cyclic_product(orders) |
-          dihedral(n) | symmetric(n)
+
+def build_group(kind: str, param) -> FiniteGroup:
+    """The group of a KINDS kind from its one parameter.
+
+    cyclic, dihedral and symmetric take n; cyclic-product takes the factor
+    orders; product takes a pair of groups.
     """
-    kind = kind.replace("-", "_")
-    if kind == "cyclic":
-        return cyclic(int(kwargs["n"]))
-    if kind == "product":
-        return direct_product(kwargs["g1"], kwargs["g2"])
-    if kind == "cyclic_product":
-        return cyclic_product(kwargs["orders"])
-    if kind == "dihedral":
-        return dihedral(int(kwargs["n"]))
-    if kind == "symmetric":
-        return symmetric(int(kwargs["n"]))
-    raise ValueError(f"unknown group kind {kind!r}")
+    return KINDS[kind][0](param)
 
 
 def element_order(group: FiniteGroup, a: int) -> int:
@@ -298,11 +306,20 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
-    if not isinstance(doc, dict):
-        raise ValueError("a group document must be a JSON object")
-    g = from_table(doc["mul"], doc.get("labels"))
-    if g.order != int(doc.get("order", g.order)):
-        raise InvalidTable("declared order does not match table size")
+    """The group of a document: ValueError on a wrongly typed entry,
+    InvalidTable on a table that is no group or a declared order it lacks."""
+    if not isinstance(doc, dict) or "mul" not in doc:
+        raise ValueError('a group document must be a JSON object with a "mul" table')
+    try:
+        g = from_table(doc["mul"], doc.get("labels"))
+    except TypeError as exc:
+        raise ValueError(f"group labels must be a list: {exc}") from None
+    order = integer_entries(doc.get("order", g.order))
+    if order is None or order.ndim:
+        raise ValueError("group order must be an integer")
+    if order != g.order:
+        raise InvalidTable("declared order does not match table size",
+                           [("order", f"declared {order}, table has {g.order}")])
     return g
 
 
@@ -314,17 +331,20 @@ def load_group(path) -> FiniteGroup:
     return group_from_json(json.loads(Path(path).read_text()))
 
 
-def file_group(doc: dict, base_dir: Optional[Path] = None) -> Optional[FiniteGroup]:
-    """The group a file's "group" entry names, or None when it has none.
+def file_group(doc: dict, group: Optional[FiniteGroup] = None,
+               base_dir: Optional[Path] = None) -> FiniteGroup:
+    """group when one is supplied, else the group a file's "group" entry names.
 
     The entry is either an inline group document or a path, taken relative to
     base_dir (the directory of the file) unless absolute.
     """
     if not isinstance(doc, dict):
         raise ValueError("a function or cocycle document must be a JSON object")
+    if group is not None:
+        return group
     entry = doc.get("group")
     if entry is None:
-        return None
+        raise ValueError("the file lacks a group and none was supplied")
     if isinstance(entry, str):
         return load_group(Path(base_dir or ".") / entry)
     return group_from_json(entry)

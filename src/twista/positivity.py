@@ -43,18 +43,18 @@ def pd_kernel(phi: GroupFunction, sigma: Cocycle) -> np.ndarray:
             * sigma.values[G.inv])                       # sigma(s^-1, t)
 
 
-def is_sigma_pd(phi: GroupFunction, sigma: Cocycle, tol: float = PSD_TOL):
+def is_sigma_pd(phi: GroupFunction, sigma: Cocycle):
     """(decision, min eigenvalue of the Hermitian part of the kernel).
 
-    Positive iff the kernel is Hermitian and PSD, both up to tol scaled by
-    the kernel operator norm (scale-free threshold).
+    Positive iff the kernel is Hermitian and PSD, both up to PSD_TOL scaled
+    by the kernel operator norm (scale-free threshold).
     """
     K = pd_kernel(phi, sigma)
     H = 0.5 * (K + K.conj().T)
     w = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     hermitian_defect = float(np.abs(K - K.conj().T).max())
-    ok = (w.min() >= -tol * scale) and (hermitian_defect <= tol * scale * 10)
+    ok = (w.min() >= -PSD_TOL * scale) and (hermitian_defect <= PSD_TOL * scale * 10)
     return bool(ok), float(w.min())
 
 
@@ -69,7 +69,7 @@ def positive_type_value(phi: GroupFunction, sigma: Cocycle, f: GroupFunction) ->
 
 
 def positive_type_check(phi: GroupFunction, sigma: Cocycle, n_random: int = 100,
-                        seed: int = 0, tol: float = PSD_TOL) -> bool:
+                        seed: int = 0) -> bool:
     """Positive-type oracle over all deltas plus seeded random unit vectors."""
     G = same_group(phi, sigma)
     n = G.order
@@ -87,7 +87,7 @@ def positive_type_check(phi: GroupFunction, sigma: Cocycle, n_random: int = 100,
         val = positive_type_value(phi, sigma, GroupFunction(G, vec))
         worst_re = min(worst_re, val.real)
         worst_im = max(worst_im, abs(val.imag))
-    return worst_re >= -tol * scale and worst_im <= tol * scale
+    return worst_re >= -PSD_TOL * scale and worst_im <= PSD_TOL * scale
 
 
 def autocorrelation_pd(f: GroupFunction, sigma: Cocycle) -> GroupFunction:
@@ -119,11 +119,11 @@ def coefficient(group, rep: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Grou
     return GroupFunction(group, vals)
 
 
-def gns(phi: GroupFunction, sigma: Cocycle, rank_tol: float = GNS_RANK_TOL) -> GNSResult:
+def gns(phi: GroupFunction, sigma: Cocycle) -> GNSResult:
     """GNS representation of a sigma-positive-definite function.
 
     Eigendecomposes the translation kernel, truncates at
-    eigenvalue > rank_tol * max, and compresses the twisted translation
+    eigenvalue > GNS_RANK_TOL * max, and compresses the twisted translation
     action to the retained subspace.  The cyclic vector is the image of
     delta_e.  Input is rescaled to phi(e) = 1.
     """
@@ -139,7 +139,7 @@ def gns(phi: GroupFunction, sigma: Cocycle, rank_tol: float = GNS_RANK_TOL) -> G
     K = pd_kernel(phi, sigma)
     K = 0.5 * (K + K.conj().T)
     w, Q = np.linalg.eigh(K)
-    keep = w > rank_tol * max(w.max(), 0.0)
+    keep = w > GNS_RANK_TOL * max(w.max(), 0.0)
     w = w[keep]
     Q = Q[:, keep]
     dim = int(keep.sum())

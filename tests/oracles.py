@@ -8,6 +8,7 @@ real check.  The l1-ball projection is a plainer form of
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
 
 import numpy as np
@@ -55,6 +56,18 @@ def tree_coordinates(mul, S, d, L: int):
         seen[g] = True
         frontier = g
     return a, b
+
+
+def symmetric_table(n: int) -> np.ndarray:
+    """Cayley table of S_n, permutations in lexicographic order, one product at a time."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            # composition p after q: x -> p[q[x]]
+            mul[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    return mul
 
 
 def center_dimension_svd(sigma) -> int:

@@ -87,9 +87,8 @@ def test_criterion_2_positivity_oracle_agreement(suite_groups, suite_cocycles):
         rng = np.random.default_rng(zlib.crc32(f"crit2/{name}".encode()))
         for k in range(100):
             phi = tw.autocorrelation_pd(rand_fn(g, rng), sigma)
-            kernel_ok, _ = tw.is_sigma_pd(phi, sigma, tol=1e-10)
-            oracle_ok = tw.positive_type_check(phi, sigma, n_random=100,
-                                               seed=k, tol=1e-10)
+            kernel_ok, _ = tw.is_sigma_pd(phi, sigma)
+            oracle_ok = tw.positive_type_check(phi, sigma, n_random=100, seed=k)
             disagreements += kernel_ok != oracle_ok
             checked += 1
             assert np.abs(phi.values).max() <= phi.values[0].real + 1e-10
@@ -108,9 +107,8 @@ def test_criterion_2_positivity_oracle_agreement(suite_groups, suite_cocycles):
                 s0 = int(rng.integers(1, g.order))
                 bad[s0] += 30.0 + 10.0j   # breaks the Hermitian symmetry
             bad_phi = tw.GroupFunction(g, bad)
-            kernel_bad, _ = tw.is_sigma_pd(bad_phi, sigma, tol=1e-10)
-            oracle_bad = tw.positive_type_check(bad_phi, sigma, n_random=100,
-                                                seed=k, tol=1e-10)
+            kernel_bad, _ = tw.is_sigma_pd(bad_phi, sigma)
+            oracle_bad = tw.positive_type_check(bad_phi, sigma, n_random=100, seed=k)
             disagreements += kernel_bad != oracle_bad
             assert not kernel_bad
             checked += 1
@@ -262,7 +260,7 @@ def test_criterion_8_bullet_isometry(suite_groups, suite_cocycles):
             T = tw.lift(rand_fn(g, rng), sigma)
             lhs = tw.pair_operator(T, tw.bullet_action(s, u, sigma))
             adj = tw.regular_rep(sigma, s).conj().T @ T.matrix
-            rhs = tw.pair_operator(tw.TwistedOperator(g, sigma, adj), u)
+            rhs = tw.pair_operator(tw.TwistedOperator.from_matrix(g, sigma, adj), u)
             worst_pair = max(worst_pair, abs(lhs - rhs))
             assert abs(lhs - rhs) <= 1e-12
     print(f"\n[PASS] criterion 8: bullet action isometry (max dev {worst_norm:.1e}"

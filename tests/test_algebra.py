@@ -274,7 +274,7 @@ def test_bullet_dual_pairing(s3_sigma):
         u = rand_fn(g, rng)
         lhs = tw.pair_operator(T, tw.bullet_action(s, u, sigma))
         adj = tw.regular_rep(sigma, s).conj().T @ T.matrix
-        Tadj = tw.TwistedOperator(g, sigma, adj)
+        Tadj = tw.TwistedOperator.from_matrix(g, sigma, adj)
         rhs = tw.pair_operator(Tadj, u)
         assert abs(lhs - rhs) < 1e-12
 
@@ -296,18 +296,25 @@ def test_twisted_operator_invariants(s3_sigma):
     rng = np.random.default_rng(15)
     f = rand_fn(g, rng)
     T = tw.lift(f, sigma)
-    assert np.abs(T.coefficients - f.values).max() < 1e-12
+    assert np.abs(T.coeffs - f.values).max() < 1e-12
     # off-span matrices are rejected
     bad = np.zeros((g.order, g.order), dtype=complex)
     bad[0, 1] = 1.0
     bad[0, 2] = 1.0
     with pytest.raises(MissingCoefficients):
-        tw.TwistedOperator(g, sigma, bad)
-    with pytest.raises(MissingCoefficients):
-        tw.comultiply(tw.TwistedOperator(g, sigma, T.matrix))
-    # given coefficients must rebuild the matrix
-    with pytest.raises(MissingCoefficients, match="rebuild"):
-        tw.TwistedOperator(g, sigma, T.matrix, f.values + 1e-6)
+        tw.TwistedOperator.from_matrix(g, sigma, bad)
+
+
+def test_from_matrix_round_trip_comultiplies_as_the_lift(s3_sigma):
+    # an operator read back from its matrix is the lift it came from, so
+    # comultiply takes it as it takes the lift
+    g, sigma = s3_sigma
+    f = rand_fn(g, np.random.default_rng(18))
+    T = tw.lift(f, sigma)
+    back = tw.TwistedOperator.from_matrix(g, sigma, T.matrix)
+    assert np.abs(back.coeffs - f.values).max() < 1e-12
+    assert np.abs(back.matrix - T.matrix).max() < 1e-12
+    assert np.abs(tw.comultiply(back) - tw.comultiply(T)).max() < 1e-12
 
 
 def test_group_mismatch_raises(s3_sigma):

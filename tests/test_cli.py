@@ -84,6 +84,9 @@ _ZERO = [[0, 0, 0]] * 3
     ("cocycle", {"group": _Z3, "m": None, "exponents": _ZERO}),
     ("cocycle", {"group": _Z3, "m": 2, "exponents": None}),
     ("group", _Z3["mul"]),
+    ("group", {**_Z3, "order": None}),
+    ("group", {**_Z3, "labels": 5}),
+    ("group-file", _Z3["mul"]),
 ])
 def test_malformed_input_file_is_a_validation_failure(workdir, capsys, kind, doc):
     # a wrongly typed entry is bad input, reported on one line, not a traceback
@@ -93,10 +96,78 @@ def test_malformed_input_file_is_a_validation_failure(workdir, capsys, kind, doc
     phi.write_text(json.dumps({"group": _Z3, "values": [[1, 0]] * 3}))
     argv = {"function": ["norm", "fourier", "--phi", bad, "--sigma", "trivial"],
             "cocycle": ["cocycle", "normalize", "--in", bad],
-            "group": ["norm", "littlewood", "--phi", phi, "--group", bad]}[kind]
+            "group": ["norm", "littlewood", "--phi", phi, "--group", bad],
+            "group-file": ["group", "validate", "--in", bad]}[kind]
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+_Z2 = {"order": 2, "mul": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("doc", [
+    _Z3,
+    {**_Z3, "order": 5},
+    {**_Z3, "order": 2.9},
+    {**_Z3, "order": 3.0},
+    {**_Z2, "order": 2.9},
+    {"mul": _Z3["mul"]},
+    {"order": 3},
+    {**_Z3, "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1.5]]},
+    {**_Z3, "order": None},
+    {**_Z3, "labels": 5},
+    {**_Z3, "labels": ["a"]},
+    {**_Z3, "order": "3"},
+    _Z3["mul"],
+])
+def test_group_validate_agrees_with_group_loading(workdir, capsys, doc):
+    # one verdict per file: `group validate` passes exactly the files that
+    # load through --group, and each refusal exits 2 with one stderr line
+    path = workdir / "g.json"
+    path.write_text(json.dumps(doc))
+    phi = workdir / "phi.json"
+    phi.write_text(json.dumps({"values": [[1, 0]] * 3}))
+    report = workdir / "report.json"
+    code = run(["group", "validate", "--in", path, "-o", report])
+    assert json.loads(report.read_text())["ok"] is (code == 0)
+    assert code == run(["norm", "littlewood", "--phi", phi, "--group", path])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0 or (code == 2 and len(err) == 2), err
+
+
+def test_group_validate_reads_the_declared_order(workdir):
+    path = workdir / "g.json"
+    path.write_text(json.dumps({**_Z3, "order": 5}))
+    report = workdir / "report.json"
+    assert run(["group", "validate", "--in", path, "-o", report]) == 2
+    assert json.loads(report.read_text()) == {
+        "ok": False, "violations": [["order", "declared 5, table has 3"]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 0, "exponents": [[0, 0], [0, 0]]},
+    {"m": -2, "exponents": [[0, 0], [0, 0]]},
+    {"m": 2, "exponents": [[1, 0], [0, 0]]},
+    {"m": 2, "exponents": [[0, 0, 0]]},
+    {"m": 2.5, "exponents": [[0, 0], [0, 0]]},
+    {"m": 2, "exponents": [[0, 0], [0, 1.9]]},
+    {"m": None, "exponents": [[0, 0], [0, 0]]},
+    {"exponents": [[0, 0], [0, 0]]},
+    [[0, 0], [0, 0]],
+])
+def test_cocycle_validate_writes_every_refusal(workdir, doc):
+    # m = 2.5 and the exponent 1.9 are refused, not read as 2 and 1, and
+    # every refusal is the one any other command gives the file
+    gpath = workdir / "z2.json"
+    run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])
+    path = workdir / "sig.json"
+    path.write_text(json.dumps(doc))
+    report = workdir / "report.json"
+    assert run(["cocycle", "validate", "--in", path, "--group", gpath, "-o", report]) == 2
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["violations"], out
+    assert run(["cocycle", "normalize", "--in", path, "--group", gpath]) == 2
 
 
 def test_missing_file_is_io_error(workdir):

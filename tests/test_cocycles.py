@@ -88,6 +88,19 @@ def test_bilinear_requires_cyclic_product():
         tw.bilinear_cocycle(tw.symmetric(3), [[1]], orders=[6])
 
 
+def test_bilinear_infers_only_a_cyclic_product_layout():
+    # with orders omitted, the layout check is infer_cyclic_orders' own
+    for g in (tw.symmetric(3), tw.dihedral(4)):
+        with pytest.raises(NotCyclicProduct):
+            tw.bilinear_cocycle(g, [[1]])
+    perm = np.array([0, 2, 1, 3, 4, 5, 6, 7])      # Z2 x Z4 with 1 and 2 swapped
+    z2z4 = tw.cyclic_product([2, 4])
+    relabelled = tw.from_table(np.argsort(perm)[z2z4.mul[np.ix_(perm, perm)]])
+    assert not np.array_equal(relabelled.mul, z2z4.mul)
+    with pytest.raises(NotCyclicProduct):
+        tw.bilinear_cocycle(relabelled, [[0, 1], [0, 0]])
+
+
 def test_bilinear_rejects_ill_defined_modulus():
     g = tw.cyclic_product([2, 4])
     with pytest.raises(CocycleViolation):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twista as tw
-from oracles import associativity_fails, magma_closure, tree_coordinates
+from oracles import (associativity_fails, magma_closure, symmetric_table,
+                     tree_coordinates)
 from twista.errors import InvalidTable, UnsupportedSize
 
 
@@ -136,6 +137,32 @@ def test_symmetric_five_at_the_size_cap():
     assert tw.validate_table(g.mul).ok
     orders = [tw.element_order(g, a) for a in range(120)]
     assert max(orders) == 6 and orders.count(5) == 24
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_matches_the_product_by_product_table(n):
+    g = tw.symmetric(n)
+    expect = symmetric_table(n)
+    assert g.mul.dtype == expect.dtype and np.array_equal(g.mul, expect)
+
+
+@pytest.mark.parametrize("doc", [{"order": 2.9, "mul": [[0, 1], [1, 0]]},
+                                 {"order": None, "mul": [[0, 1], [1, 0]]},
+                                 {"order": [2], "mul": [[0, 1], [1, 0]]},
+                                 {"order": 2, "mul": [[0, 1], [1, 0]], "labels": 5},
+                                 {"order": 2, "mul": [[0, 1], [1, 0]], "labels": ["e"]},
+                                 [[0, 1], [1, 0]]])
+def test_group_from_json_refuses_wrongly_typed_entries(doc):
+    with pytest.raises(ValueError):
+        tw.groups.group_from_json(doc)
+
+
+def test_group_from_json_refuses_a_declared_order_the_table_lacks():
+    with pytest.raises(InvalidTable) as exc:
+        tw.groups.group_from_json({"order": 5, "mul": tw.cyclic(3).mul.tolist()})
+    assert exc.value.violations == [("order", "declared 5, table has 3")]
+    assert tw.groups.group_from_json({"order": 3.0, "mul": tw.cyclic(3).mul.tolist()}) \
+        == tw.cyclic(3)
 
 
 def test_json_round_trip(tmp_path):

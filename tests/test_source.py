@@ -38,6 +38,26 @@ def test_no_object_dtype_arrays_in_the_package():
     assert SOURCE.is_dir() and not found, found
 
 
+_LOADERS = {"load_group", "load_cocycle", "load_function"}
+
+
+def _is_json_loads(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json")
+
+
+def test_files_are_parsed_only_by_their_loaders():
+    # every file reaches the package through one loader, so a command that
+    # checks a file gives the verdict that loading it anywhere else gives
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for top in ast.parse(path.read_text(), str(path)).body
+             if not (isinstance(top, ast.FunctionDef) and top.name in _LOADERS)
+             for node in ast.walk(top) if _is_json_loads(node)]
+    assert SOURCE.is_dir() and not found, found
+
+
 def _numpy_blas_use(node) -> bool:
     # `a @ b`, `a @= b`, `np.matmul` and any `np.linalg.<fn>` but the exception
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
