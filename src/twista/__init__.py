@@ -23,12 +23,12 @@ from .errors import (CertificateError, CocycleViolation, DegenerateState,
                      MissingCoefficients, NotCyclicProduct, NotHermitian,
                      NotPositiveDefinite, SolverFailure, TwistaError,
                      UnsupportedSize, ZeroVector)
-from .groups import (FiniteGroup, ValidationReport, build_group, cyclic,
-                     cyclic_product, dihedral, direct_product, element_order,
-                     from_table, load_group, save_group, symmetric,
-                     validate_table)
+from .groups import (FiniteGroup, build_group, cyclic, cyclic_product,
+                     dihedral, direct_product, element_order, from_table,
+                     load_group, save_group, symmetric, validate_table)
 from .linalg import eig_hermitian, operator_norm, trace_norm
 from .littlewood import T2Split, max_col_l2, max_row_l2, t2_split
+from .norms import __getattr__  # noqa: F401  SDPSolution, gamma2 load sdp lazily
 from .norms import (AmenabilityReport, FourierStieltjesCertificate,
                     MultiplierCertificate, amenability_report,
                     amplified_fs_norm, cb_multiplier_norm,
@@ -41,10 +41,3 @@ from .positivity import (GNSResult, autocorrelation_pd, coefficient, gns,
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # as in norms: SDPSolution and gamma2 import sdp, hence scipy, on first use
-    if name in ("SDPSolution", "gamma2"):
-        from . import sdp
-        return getattr(sdp, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,14 +15,14 @@ from typing import Optional
 import numpy as np
 
 from . import groups as grp
-from .cocycles import Cocycle
+from .cocycles import Cocycle, roots_of_unity
 from .errors import GroupMismatch, MissingCoefficients
 from .groups import FiniteGroup, same_group
 
 SPAN_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupFunction:
     """Complex-valued function on a finite group; values[s] = f(s)."""
 
@@ -111,16 +111,16 @@ def operator_coefficients(matrix: np.ndarray, sigma: Cocycle) -> np.ndarray:
     return (gathered * np.conj(sigma.values)).sum(axis=1) / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistedOperator:
     """sum_s coeffs[s] lambda_sigma(s), an element of VN(G, sigma).
 
-    The operator is held by its coefficients alone; ``matrix`` is lifted
-    from them on first use and kept.  A matrix enters only through
-    from_matrix, which checks that it lies on the span of the lambdas.
+    The operator is held by its cocycle and its coefficients alone: its
+    group is the cocycle's, and ``matrix`` is lifted from the coefficients
+    on first use and kept.  A matrix enters only through from_matrix, which
+    checks that it lies on the span of the lambdas.
     """
 
-    group: FiniteGroup
     cocycle: Cocycle
     coeffs: np.ndarray
 
@@ -129,6 +129,10 @@ class TwistedOperator:
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
 
+    @property
+    def group(self) -> FiniteGroup:
+        return self.cocycle.group
+
     @cached_property
     def matrix(self) -> np.ndarray:
         m = lift_matrix(self.coeffs, self.cocycle)
@@ -136,7 +140,7 @@ class TwistedOperator:
         return m
 
     @classmethod
-    def from_matrix(cls, group: FiniteGroup, cocycle: Cocycle, matrix) -> "TwistedOperator":
+    def from_matrix(cls, cocycle: Cocycle, matrix) -> "TwistedOperator":
         """The operator of a matrix on the span; MissingCoefficients off it."""
         m = np.asarray(matrix, dtype=complex)
         c = operator_coefficients(m, cocycle)
@@ -144,13 +148,13 @@ class TwistedOperator:
         if resid > SPAN_RESIDUAL_TOL * max(1.0, np.abs(m).max()):
             raise MissingCoefficients(
                 f"matrix is off the span of the twisted translations by {resid:.2e}")
-        return cls(group, cocycle, c)
+        return cls(cocycle, c)
 
 
 def lift(f: GroupFunction, sigma: Cocycle) -> TwistedOperator:
     """Lift of f: the operator sum_s f(s) lambda_sigma(s)."""
     same_group(f, sigma)
-    return TwistedOperator(f.group, sigma, f.values)
+    return TwistedOperator(sigma, f.values)
 
 
 def pair_operator(T: TwistedOperator, phi: GroupFunction) -> complex:
@@ -166,26 +170,33 @@ def bullet_action(s: int, u: GroupFunction, sigma: Cocycle) -> GroupFunction:
     return GroupFunction(G, np.conj(sigma.values[s, sinv_t]) * u.values[sinv_t])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralExtension:
     """G_sigma = G x mu_m with (s,j)(t,k) = (st, j + k + exp[s,t]).
 
-    Element (s, k) has index s*m + k; Haar weight is 1 on G and 1/m per
-    circle point, so project(embed(f)) = f and embed intertwines twisted
-    convolution downstairs with convolution upstairs.
+    Held by sigma and the extension's group: the base group G and the root
+    order m are sigma's.  Element (s, k) has index s*m + k; Haar weight is
+    1 on G and 1/m per circle point, so project(embed(f)) = f and embed
+    intertwines twisted convolution downstairs with convolution upstairs.
     """
 
-    base: FiniteGroup
-    m: int
     sigma: Cocycle
     ext: FiniteGroup
+
+    @property
+    def base(self) -> FiniteGroup:
+        return self.sigma.group
+
+    @property
+    def m(self) -> int:
+        return self.sigma.m
 
     def index(self, s: int, k: int) -> int:
         return s * self.m + int(k % self.m)
 
     @property
     def roots(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.m) / self.m)
+        return roots_of_unity(self.m)
 
     def embed(self, f: GroupFunction) -> GroupFunction:
         """j(f)(s, z) = conj(z) f(s)."""
@@ -218,7 +229,7 @@ def central_extension(sigma: Cocycle) -> CentralExtension:
     k = np.arange(size) % m
     mul = (base.mul[np.ix_(s, s)] * m
            + (k[:, None] + k[None, :] + sigma.exponents[np.ix_(s, s)]) % m)
-    return CentralExtension(base=base, m=m, sigma=sigma, ext=grp.from_table(mul))
+    return CentralExtension(sigma, grp.from_table(mul))
 
 
 def comultiply(T: TwistedOperator) -> np.ndarray:

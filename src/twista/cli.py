@@ -154,9 +154,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_report_amenability(args) -> int:
-    group = groups.load_group(args.group)
-    sigma = _load_cocycle_arg(args.sigma, group)
-    report = norms.amenability_report(group, sigma, n_samples=args.samples,
+    sigma = _load_cocycle_arg(args.sigma, groups.load_group(args.group))
+    report = norms.amenability_report(sigma, n_samples=args.samples,
                                       seed=args.seed, tol=args.tol)
     doc = report.to_json()
     doc["threshold"] = args.threshold

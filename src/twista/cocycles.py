@@ -23,6 +23,11 @@ from .groups import FiniteGroup
 from .smith import solve_mod
 
 
+def roots_of_unity(m: int) -> np.ndarray:
+    """exp(2 pi i k / m) for k in range(m): every phase is read from this table."""
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
 @dataclass(frozen=True, eq=False)
 class Cocycle:
     """Unimodular 2-cocycle: value(s, t) = exp(2*pi*i * exponents[s, t] / m)."""
@@ -39,8 +44,7 @@ class Cocycle:
     @cached_property
     def values(self) -> np.ndarray:
         """Complex table of cocycle values, |G| x |G|."""
-        w = np.exp(2j * np.pi * np.arange(self.m) / self.m)
-        return w[self.exponents]
+        return roots_of_unity(self.m)[self.exponents]
 
     @property
     def is_trivial_table(self) -> bool:
@@ -56,7 +60,7 @@ class Cocycle:
         return Cocycle(self.group, new_m, self.exponents * (new_m // self.m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoboundaryWitness:
     """Unimodular function xi with xi(e) = 1, as exponents over m-th roots."""
 
@@ -73,7 +77,7 @@ class CoboundaryWitness:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return np.exp(2j * np.pi * self.xi / self.m)
+        return roots_of_unity(self.m)[self.xi]
 
     def rescaled(self, new_m: int) -> "CoboundaryWitness":
         if new_m % self.m:

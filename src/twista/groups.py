@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,23 +18,28 @@ SYMMETRIC_CAP = 5
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Immutable finite group given by its multiplication table.
+    """Immutable finite group held by its multiplication table alone.
 
-    ``mul[a, b]`` is the index of the product, ``inv[a]`` the inverse, and
-    index 0 is always the identity.  Elements are plain integers in
-    ``range(order)``.
+    ``mul[a, b]`` is the index of the product and index 0 is always the
+    identity.  ``order`` and ``inv`` are read from the table: ``inv[a]`` is
+    the b with ``mul[a, b] = 0``.  Elements are plain integers in
+    ``range(order)``.  from_table checks the group axioms; the constructor
+    trusts its table.
     """
 
-    order: int
     mul: np.ndarray
-    inv: np.ndarray
     labels: Optional[tuple] = None
+    order: int = field(init=False)
+    inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mul", np.ascontiguousarray(self.mul, dtype=np.int64))
-        object.__setattr__(self, "inv", np.ascontiguousarray(self.inv, dtype=np.int64))
-        self.mul.setflags(write=False)
-        self.inv.setflags(write=False)
+        mul = np.ascontiguousarray(self.mul, dtype=np.int64)
+        inv = np.argmax(mul == 0, axis=1)
+        mul.setflags(write=False)
+        inv.setflags(write=False)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "order", len(mul))
+        object.__setattr__(self, "inv", inv)
 
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -99,29 +104,27 @@ class FiniteGroup:
         return a, tuple(levels)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple = ()
+def validate_table(mul) -> list:
+    """Check the group axioms for a square table; list up to 10 violations.
 
-
-def validate_table(mul) -> ValidationReport:
-    """Check the group axioms for a square table; report up to 10 violations.
-
-    Total function: malformed input yields a report, never an exception.
+    Total function: malformed input yields violations, never an exception.
+    The list is empty exactly when the table is a group's.
     """
-    mul = np.asarray(mul)
+    try:
+        mul = np.asarray(mul)
+    except ValueError:
+        return [("table rows differ in length",)]
     violations = []
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-        return ValidationReport(False, ((f"table shape {mul.shape} is not square",),))
+        return [(f"table shape {mul.shape} is not square",)]
     n = mul.shape[0]
     if n == 0:
-        return ValidationReport(False, (("empty table",),))
+        return [("empty table",)]
     mul = integer_entries(mul)
     if mul is None:
-        return ValidationReport(False, (("non-integer entries",),))
+        return [("non-integer entries",)]
     if mul.min() < 0 or mul.max() >= n:
-        return ValidationReport(False, ((f"entries outside [0, {n})",),))
+        return [(f"entries outside [0, {n})",)]
 
     rng_n = np.arange(n)
     if not np.array_equal(mul[0], rng_n):
@@ -136,7 +139,7 @@ def validate_table(mul) -> ValidationReport:
     violations += [("inverse", f"element {a} lacks a two-sided inverse")
                    for a in np.flatnonzero(lacking)]
     if len(violations) >= 10:
-        return ValidationReport(False, tuple(violations[:10]))
+        return violations[:10]
 
     # Light's test: the elements g with (ag)c = a(gc) for all a, c form a
     # submagma, so checking g in a generating set covers every triple
@@ -146,7 +149,7 @@ def validate_table(mul) -> ValidationReport:
                        for a, c in bad[:10 - len(violations)]]
         if len(violations) >= 10:
             break
-    return ValidationReport(not violations, tuple(violations))
+    return violations
 
 
 def integer_entries(x) -> Optional[np.ndarray]:
@@ -186,21 +189,15 @@ def generating_set(mul) -> np.ndarray:
     return np.array(gens, dtype=np.int64)
 
 
-def _inverse_table(mul: np.ndarray) -> np.ndarray:
-    """inv[a] = the b with mul[a, b] = 0, for a table that passed validate_table."""
-    return np.argmax(mul == 0, axis=1)
-
-
 def from_table(mul, labels=None) -> FiniteGroup:
-    report = validate_table(mul)
-    if not report.ok:
-        raise InvalidTable(f"invalid Cayley table: {report.violations}", report.violations)
-    mul = np.asarray(mul, dtype=np.int64)
+    violations = validate_table(mul)
+    if violations:
+        raise InvalidTable(f"invalid Cayley table: {violations}", violations)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != len(mul):
             raise ValueError(f"{len(labels)} labels for a group of order {len(mul)}")
-    return FiniteGroup(order=mul.shape[0], mul=mul, inv=_inverse_table(mul), labels=labels)
+    return FiniteGroup(mul, labels)
 
 
 def same_group(*objs) -> FiniteGroup:
@@ -217,9 +214,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise InvalidTable("cyclic order must be positive")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    inv = (-idx) % n
-    return FiniteGroup(order=n, mul=mul, inv=inv,
-                       labels=tuple(str(k) for k in range(n)))
+    return FiniteGroup(mul, tuple(str(k) for k in range(n)))
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -228,9 +223,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     a = np.arange(n1 * n2) // n2
     b = np.arange(n1 * n2) % n2
     mul = g1.mul[np.ix_(a, a)] * n2 + g2.mul[np.ix_(b, b)]
-    inv = g1.inv[a] * n2 + g2.inv[b]
     labels = tuple(f"({g1.label(int(x))},{g2.label(int(y))})" for x, y in zip(a, b))
-    return FiniteGroup(order=n1 * n2, mul=mul, inv=inv, labels=labels)
+    return FiniteGroup(mul, labels)
 
 
 def cyclic_product(orders: Sequence[int]) -> FiniteGroup:
@@ -253,7 +247,7 @@ def dihedral(n: int) -> FiniteGroup:
     rot = np.where(f[None, :] == 1, -a[:, None], a[:, None])
     mul = (f[:, None] ^ f[None, :]) * n + (rot + a[None, :]) % n
     labels = tuple((f"s^{f}r^{a}" if f else f"r^{a}") for f in (0, 1) for a in range(n))
-    return FiniteGroup(order=size, mul=mul, inv=_inverse_table(mul), labels=labels)
+    return FiniteGroup(mul, labels)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -268,7 +262,7 @@ def symmetric(n: int) -> FiniteGroup:
     powers = n ** np.arange(n - 1, -1, -1)
     mul = np.searchsorted(perms @ powers, perms[:, perms] @ powers)
     labels = tuple("".join(map(str, p)) for p in perms)
-    return FiniteGroup(order=len(perms), mul=mul, inv=_inverse_table(mul), labels=labels)
+    return FiniteGroup(mul, labels)
 
 
 # the kinds of `twista group build`: each constructor and the name of its

@@ -52,7 +52,7 @@ ALPHA = 1.8             # over-relaxation of the row step
 MEMORY = 5              # Anderson memory: differences kept for extrapolation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class T2Split:
     value: float
     psi1: np.ndarray

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (GroupFunction, regular_rep, twisted_convolve,
+from .algebra import (GroupFunction, regular_rep_tensor, twisted_convolve,
                       twisted_involution)
 from .cocycles import Cocycle
 from .errors import (DegenerateState, DimensionMismatch, NotPositiveDefinite,
@@ -22,7 +22,7 @@ PSD_TOL = 1e-10
 GNS_RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GNSResult:
     dim: int
     rep: np.ndarray        # (|G|, dim, dim) unitaries
@@ -43,19 +43,19 @@ def pd_kernel(phi: GroupFunction, sigma: Cocycle) -> np.ndarray:
             * sigma.values[G.inv])                       # sigma(s^-1, t)
 
 
-def is_sigma_pd(phi: GroupFunction, sigma: Cocycle):
-    """(decision, min eigenvalue of the Hermitian part of the kernel).
-
-    Positive iff the kernel is Hermitian and PSD, both up to PSD_TOL scaled
-    by the kernel operator norm (scale-free threshold).
-    """
-    K = pd_kernel(phi, sigma)
-    H = 0.5 * (K + K.conj().T)
-    w = np.linalg.eigvalsh(H)
+def _pd_decision(K: np.ndarray, w: np.ndarray) -> bool:
+    """K is Hermitian and PSD, w the spectrum of its Hermitian part, both up to
+    PSD_TOL scaled by the kernel operator norm (scale-free threshold)."""
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     hermitian_defect = float(np.abs(K - K.conj().T).max())
-    ok = (w.min() >= -PSD_TOL * scale) and (hermitian_defect <= PSD_TOL * scale * 10)
-    return bool(ok), float(w.min())
+    return bool(w.min() >= -PSD_TOL * scale and hermitian_defect <= PSD_TOL * scale * 10)
+
+
+def is_sigma_pd(phi: GroupFunction, sigma: Cocycle):
+    """(decision, min eigenvalue of the Hermitian part of the kernel), by _pd_decision."""
+    K = pd_kernel(phi, sigma)
+    w = np.linalg.eigvalsh(0.5 * (K + K.conj().T))
+    return _pd_decision(K, w), float(w.min())
 
 
 def positive_type_value(phi: GroupFunction, sigma: Cocycle, f: GroupFunction) -> complex:
@@ -122,40 +122,35 @@ def coefficient(group, rep: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Grou
 def gns(phi: GroupFunction, sigma: Cocycle) -> GNSResult:
     """GNS representation of a sigma-positive-definite function.
 
-    Eigendecomposes the translation kernel, truncates at
-    eigenvalue > GNS_RANK_TOL * max, and compresses the twisted translation
-    action to the retained subspace.  The cyclic vector is the image of
-    delta_e.  Input is rescaled to phi(e) = 1.
+    Eigendecomposes the translation kernel once: its spectrum decides
+    positivity by is_sigma_pd's rule, and the eigenvectors with
+    eigenvalue > GNS_RANK_TOL * max span the retained subspace, to which
+    the twisted translation action is compressed.  The cyclic vector is the
+    image of delta_e.  Input is rescaled to phi(e) = 1.
     """
     G = same_group(phi, sigma)
     pe = phi.values[0]
     if abs(pe.imag) > 1e-12 * max(1.0, abs(pe)) or pe.real <= 0:
         raise DegenerateState(f"phi(e) = {pe} is not a positive number")
     phi = GroupFunction(G, phi.values / pe.real)
-    ok, mineig = is_sigma_pd(phi, sigma)
-    if not ok:
-        raise NotPositiveDefinite(f"kernel min eigenvalue {mineig:.3e}")
-
     K = pd_kernel(phi, sigma)
-    K = 0.5 * (K + K.conj().T)
-    w, Q = np.linalg.eigh(K)
+    w, Q = np.linalg.eigh(0.5 * (K + K.conj().T))
+    if not _pd_decision(K, w):
+        raise NotPositiveDefinite(f"kernel min eigenvalue {w.min():.3e}")
     keep = w > GNS_RANK_TOL * max(w.max(), 0.0)
     w = w[keep]
     Q = Q[:, keep]
     dim = int(keep.sum())
     sq = np.sqrt(w)
 
-    n = G.order
     # action of u on basis vectors: e_t -> sigma(u, t) e_{ut}, which is the
     # regular representation matrix; compress to the retained subspace
-    rep = np.empty((n, dim, dim), dtype=complex)
-    for u in range(n):
-        A = Q.conj().T @ regular_rep(sigma, u) @ Q
-        rep[u] = (sq[:, None] * A) / sq[None, :]
+    A = Q.conj().T @ regular_rep_tensor(sigma) @ Q
+    rep = (sq[:, None] * A) / sq[None, :]
 
     cyclic = sq * np.conj(Q[0, :])
     nrm = np.linalg.norm(cyclic)
     cyclic = cyclic / nrm
-    coeffs = np.einsum("sij,j,i->s", rep, cyclic, np.conj(cyclic))
+    coeffs = coefficient(G, rep, cyclic, cyclic).values
     residual = float(np.abs(coeffs - phi.values).max())
     return GNSResult(dim=dim, rep=rep, cyclic=cyclic, residual=residual)

@@ -51,7 +51,7 @@ MAX_SIZE = 128
 MAX_ITER = 100          # interior-point iteration budget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SDPSolution:
     """Solver output: value certifies from above, dual_value from below."""
 

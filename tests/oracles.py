@@ -70,6 +70,37 @@ def symmetric_table(n: int) -> np.ndarray:
     return mul
 
 
+def cyclic_inverse(n: int) -> np.ndarray:
+    """Inverses in Z_n: -i mod n."""
+    return (-np.arange(n)) % n
+
+
+def product_inverse(g1, g2) -> np.ndarray:
+    """Inverses in G1 x G2 under the index (a, b) -> a |G2| + b, factor by factor."""
+    a, b = np.divmod(np.arange(g1.order * g2.order), g2.order)
+    return g1.inv[a] * g2.order + g2.inv[b]
+
+
+def dihedral_inverse(n: int) -> np.ndarray:
+    """Inverses in D_n, element f n + a = s^f r^a: r^a -> r^-a, reflections fixed."""
+    f, a = np.divmod(np.arange(2 * n), n)
+    return np.where(f == 1, f * n + a, (-a) % n)
+
+
+def symmetric_inverse(n: int) -> np.ndarray:
+    """Inverse permutations of S_n, in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([index[tuple(np.argsort(p))] for p in perms], dtype=np.int64)
+
+
+def extension_inverse(sigma) -> np.ndarray:
+    """Inverses in G x mu_m, index s m + k: (s, k)^-1 = (s^-1, -k - e(s, s^-1))."""
+    G, m = sigma.group, sigma.m
+    s, k = np.divmod(np.arange(G.order * m), m)
+    return G.inv[s] * m + (-k - sigma.exponents[s, G.inv[s]]) % m
+
+
 def center_dimension_svd(sigma) -> int:
     """Null space of the n^2 x n commutator system [lambda(t), x] = 0, by SVD."""
     G = sigma.group

@@ -274,7 +274,7 @@ def test_bullet_dual_pairing(s3_sigma):
         u = rand_fn(g, rng)
         lhs = tw.pair_operator(T, tw.bullet_action(s, u, sigma))
         adj = tw.regular_rep(sigma, s).conj().T @ T.matrix
-        Tadj = tw.TwistedOperator.from_matrix(g, sigma, adj)
+        Tadj = tw.TwistedOperator.from_matrix(sigma, adj)
         rhs = tw.pair_operator(Tadj, u)
         assert abs(lhs - rhs) < 1e-12
 
@@ -302,7 +302,7 @@ def test_twisted_operator_invariants(s3_sigma):
     bad[0, 1] = 1.0
     bad[0, 2] = 1.0
     with pytest.raises(MissingCoefficients):
-        tw.TwistedOperator.from_matrix(g, sigma, bad)
+        tw.TwistedOperator.from_matrix(sigma, bad)
 
 
 def test_from_matrix_round_trip_comultiplies_as_the_lift(s3_sigma):
@@ -311,10 +311,42 @@ def test_from_matrix_round_trip_comultiplies_as_the_lift(s3_sigma):
     g, sigma = s3_sigma
     f = rand_fn(g, np.random.default_rng(18))
     T = tw.lift(f, sigma)
-    back = tw.TwistedOperator.from_matrix(g, sigma, T.matrix)
+    back = tw.TwistedOperator.from_matrix(sigma, T.matrix)
     assert np.abs(back.coeffs - f.values).max() < 1e-12
     assert np.abs(back.matrix - T.matrix).max() < 1e-12
     assert np.abs(tw.comultiply(back) - tw.comultiply(T)).max() < 1e-12
+
+
+def test_objects_built_on_a_cocycle_take_its_group(s3_sigma):
+    g, sigma = s3_sigma
+    assert tw.TwistedOperator(sigma, np.ones(g.order)).group is sigma.group
+    ext = tw.central_extension(sigma)
+    assert ext.base is sigma.group and ext.m == sigma.m
+
+
+def _array_holders():
+    g = tw.cyclic_product([2, 2])
+    sigma = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
+    phi = tw.GroupFunction(g, np.arange(1.0, 5.0))
+    pd = tw.autocorrelation_pd(phi, sigma)
+    return [
+        lambda: tw.GroupFunction(g, phi.values.copy()),
+        lambda: tw.lift(phi, sigma),
+        lambda: tw.normalize_cocycle(sigma)[1],
+        lambda: tw.central_extension(sigma),
+        lambda: tw.cb_multiplier_norm(phi, sigma, sigma).sdp,
+        lambda: tw.cb_multiplier_norm(phi, sigma, sigma),
+        lambda: tw.littlewood_T2_norm(phi),
+        lambda: tw.fourier_stieltjes_norm(phi, sigma),
+        lambda: tw.gns(pd, sigma),
+    ]
+
+
+def test_objects_holding_arrays_compare_by_identity():
+    for build in _array_holders():
+        a, b = build(), build()
+        assert (a == b) is False and (a == a) is True, type(a)
+        assert isinstance(hash(a), int)
 
 
 def test_group_mismatch_raises(s3_sigma):

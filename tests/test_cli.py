@@ -145,6 +145,15 @@ def test_group_validate_reads_the_declared_order(workdir):
         "ok": False, "violations": [["order", "declared 5, table has 3"]]}
 
 
+def test_group_validate_reports_a_ragged_table(workdir):
+    path = workdir / "g.json"
+    path.write_text(json.dumps({"mul": [[0, 1], [1]]}))
+    report = workdir / "report.json"
+    assert run(["group", "validate", "--in", path, "-o", report]) == 2
+    assert json.loads(report.read_text()) == {
+        "ok": False, "violations": [["table rows differ in length"]]}
+
+
 @pytest.mark.parametrize("doc", [
     {"m": 0, "exponents": [[0, 0], [0, 0]]},
     {"m": -2, "exponents": [[0, 0], [0, 0]]},

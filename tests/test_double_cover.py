@@ -95,7 +95,7 @@ def test_twisted_algebra_splits_into_two_matrix_blocks(cover_data):
 
 def test_norm_equality_on_the_twisted_dihedral(cover_data):
     _, Q, sigma = cover_data
-    report = tw.amenability_report(Q, sigma, n_samples=10, seed=7, tol=1e-6)
+    report = tw.amenability_report(sigma, n_samples=10, seed=7, tol=1e-6)
     assert report.inclusion_violations == 0
     assert report.max_rel_gap <= 1e-4
 

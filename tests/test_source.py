@@ -58,6 +58,38 @@ def test_files_are_parsed_only_by_their_loaders():
     assert SOURCE.is_dir() and not found, found
 
 
+def _is_np(node, attr) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def test_roots_of_unity_come_from_one_table():
+    # every phase exp(2 pi i k / m) is read from cocycles.roots_of_unity, so
+    # a cocycle value and a witness value of one exponent are the same float
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for top in tree.body
+                   if path.name == "cocycles.py" and isinstance(top, ast.FunctionDef)
+                   and top.name == "roots_of_unity" for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _is_np(node.func, "exp")
+                  and any(_is_np(sub, "pi") for arg in node.args for sub in ast.walk(arg))
+                  and id(node) not in allowed]
+    assert SOURCE.is_dir() and not found, found
+
+
+def test_one_module_level_getattr():
+    # the lazy sdp names are resolved by norms.__getattr__, which the
+    # package reuses; a second copy could drift from it
+    found = sorted(path.name for path in SOURCE.glob("*.py")
+                   for top in ast.parse(path.read_text(), str(path)).body
+                   if (isinstance(top, ast.FunctionDef) and top.name == "__getattr__")
+                   or (isinstance(top, ast.Assign)
+                       and any(getattr(t, "id", None) == "__getattr__" for t in top.targets)))
+    assert found == ["norms.py"], found
+
+
 def _numpy_blas_use(node) -> bool:
     # `a @ b`, `a @= b`, `np.matmul` and any `np.linalg.<fn>` but the exception
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
