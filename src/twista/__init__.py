@@ -11,8 +11,8 @@ from .algebra import (CentralExtension, GroupFunction, TwistedOperator,
                       bullet_action, center_dimension, central_extension,
                       comultiply, comultiply_pair, delta, lift, lift_matrix,
                       load_function, operator_coefficients, pair_operator,
-                      regular_rep, regular_rep_tensor, save_function,
-                      twisted_convolve, twisted_involution)
+                      regular_rep_tensor, save_function, twisted_convolve,
+                      twisted_involution)
 from .cocycles import (CoboundaryWitness, Cocycle, bilinear_cocycle,
                        coboundary_test, cocycle_conjugate, cocycle_product,
                        load_cocycle, normalize_cocycle, random_coboundary_twist,

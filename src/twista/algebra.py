@@ -67,25 +67,9 @@ def twisted_involution(f: GroupFunction, sigma: Cocycle) -> GroupFunction:
     return GroupFunction(G, phase * np.conj(f.values[G.inv]))
 
 
-def regular_rep(sigma: Cocycle, s: int) -> np.ndarray:
-    """Unitary matrix of lambda_sigma(s): delta_u -> sigma(s, u) delta_{su}."""
-    G = sigma.group
-    n = G.order
-    out = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    out[G.mul[s, cols], cols] = sigma.values[s, cols]
-    return out
-
-
 def regular_rep_tensor(sigma: Cocycle) -> np.ndarray:
-    """All regular representation matrices stacked along axis 0."""
-    G = sigma.group
-    n = G.order
-    out = np.zeros((n, n, n), dtype=complex)
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    rows = G.mul
-    out[np.arange(n)[:, None], rows, cols] = sigma.values
-    return out
+    """lambda_sigma(s) for every s, stacked along axis 0: the lift of each delta_s."""
+    return lift_matrix(np.eye(sigma.group.order, dtype=complex), sigma)
 
 
 def lift_matrix(coeffs: np.ndarray, sigma: Cocycle) -> np.ndarray:

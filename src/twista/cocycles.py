@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import groups as grp
-from .errors import CertificateError, CocycleViolation, NotCyclicProduct
+from .errors import CertificateError, CocycleViolation
 from .groups import FiniteGroup
 from .smith import solve_mod
 
@@ -137,24 +137,19 @@ def trivial_cocycle(group: FiniteGroup, m: int = 1) -> Cocycle:
     return Cocycle(group, m, np.zeros((group.order, group.order), dtype=np.int64))
 
 
-def bilinear_cocycle(group: FiniteGroup, A, orders: Optional[Sequence[int]] = None,
-                     m: Optional[int] = None) -> Cocycle:
+def bilinear_cocycle(group: FiniteGroup, A, m: Optional[int] = None) -> Cocycle:
     """sigma_A(s, t) = exp(2*pi*i <s, A t> / m) on a product of cyclic groups.
 
-    With m omitted, m = lcm(orders) and the pairing is scaled by
+    The factor orders q are read off the table by infer_cyclic_orders, which
+    raises NotCyclicProduct unless it is the mixed-radix layout of
+    cyclic_product; A is k x k for the k factors it finds.  The table fixes
+    every factor but those of order 1, which it does not count.
+    With m omitted, m = lcm(q) and the pairing is scaled by
     (m/q_i)(m/q_j) per entry, which is always well defined.  With m given,
     the plain integer pairing is used and well-definedness is checked
     (requires q_i * A_ij = 0 = q_j * A_ij mod m).
     """
-    if orders is None:
-        orders = grp.infer_cyclic_orders(group)      # checks the layout itself
-    else:
-        orders = [int(q) for q in orders]
-        if int(np.prod(orders)) != group.order:
-            raise NotCyclicProduct("declared factor orders do not match the group order")
-        if not np.array_equal(grp.cyclic_product(orders).mul, group.mul):
-            raise NotCyclicProduct(
-                "group is not the mixed-radix product of the declared factors")
+    orders = grp.infer_cyclic_orders(group)
     q = np.array(orders, dtype=np.int64)
     A = np.asarray(A, dtype=np.int64)
     if A.shape != (len(q), len(q)):

@@ -327,21 +327,28 @@ def load_group(path) -> FiniteGroup:
 
 def file_group(doc: dict, group: Optional[FiniteGroup] = None,
                base_dir: Optional[Path] = None) -> FiniteGroup:
-    """group when one is supplied, else the group a file's "group" entry names.
+    """The group of a file: its "group" entry, or the group supplied for it.
 
     The entry is either an inline group document or a path, taken relative to
-    base_dir (the directory of the file) unless absolute.
+    base_dir (the directory of the file) unless absolute; the group file a
+    path names is read by load_group.  When a group is supplied and the file
+    has an entry too, the entry's table must equal group.mul, else
+    GroupMismatch; an inline table is compared raw, not validated again.
     """
     if not isinstance(doc, dict):
         raise ValueError("a function or cocycle document must be a JSON object")
-    if group is not None:
-        return group
     entry = doc.get("group")
-    if entry is None:
-        raise ValueError("the file lacks a group and none was supplied")
     if isinstance(entry, str):
-        return load_group(Path(base_dir or ".") / entry)
-    return group_from_json(entry)
+        entry = load_group(Path(base_dir or ".") / entry)
+    if group is None:
+        if entry is None:
+            raise ValueError("the file lacks a group and none was supplied")
+        return entry if isinstance(entry, FiniteGroup) else group_from_json(entry)
+    if entry is not None:
+        table = entry.get("mul") if isinstance(entry, dict) else getattr(entry, "mul", None)
+        if not np.array_equal(table, group.mul):
+            raise GroupMismatch("the file's group table differs from the supplied group")
+    return group
 
 
 def infer_cyclic_orders(group: FiniteGroup) -> list[int]:

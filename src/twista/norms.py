@@ -125,7 +125,7 @@ def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
     if err > 1e-8 * max(1.0, sol.value):
         raise CertificateError(f"factorization residual {err:.2e}", partial=sol)
     return MultiplierCertificate(value=sol.value, xi=sol.xi, eta=sol.eta,
-                                 dual_bound=sol.dual_value, gap=sol.gap, sdp=sol)
+                                 dual_bound=sol.dual_bound, gap=sol.gap, sdp=sol)
 
 
 def multiplier_apply(phi: GroupFunction, psi: GroupFunction,
@@ -209,26 +209,16 @@ class AmenabilitySample:
 
 @dataclass(frozen=True)
 class AmenabilityReport:
+    """Written as dataclasses.asdict(report): the field order is the key order."""
+
     group_order: int
     cocycle_m: int
     n_samples: int
     seed: int
     tol: float
-    samples: tuple
     max_rel_gap: float
     inclusion_violations: int
-
-    def to_json(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "cocycle_m": self.cocycle_m,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_rel_gap": self.max_rel_gap,
-            "inclusion_violations": self.inclusion_violations,
-            "samples": [vars(s) for s in self.samples],
-        }
+    samples: tuple
 
 
 CSV_COLUMNS = ("sample_id", "seed", "b_norm", "cb_norm", "rel_gap",
@@ -243,8 +233,11 @@ def amenability_report(sigma: Cocycle, n_samples: int, seed: int,
     cb multiplier norm from A(G) to A(G, sigma) must agree (finite groups
     are amenable); the report records both values, the relative gap, and
     whether the contractive inclusion cb <= b + tol ever fails.  Solver
-    failures are recorded per sample without aborting the batch.
+    failures are recorded per sample without aborting the batch.  A negative
+    n_samples raises ValueError; zero gives an empty report.
     """
+    if n_samples < 0:
+        raise ValueError(f"the sample count must be nonnegative, got {n_samples}")
     group = sigma.group
     triv = trivial_cocycle(group)
 

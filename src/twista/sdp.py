@@ -53,18 +53,22 @@ MAX_ITER = 100          # interior-point iteration budget
 
 @dataclass(frozen=True, eq=False)
 class SDPSolution:
-    """Solver output: value certifies from above, dual_value from below."""
+    """Solver output: gamma2(F) lies in [dual_bound, value].
+
+    dual_bound is the trace norm of diag(dual_u) F diag(dual_v); gamma2 fills
+    every field, the all-zero F included.
+    """
 
     value: float
     gram: np.ndarray            # [[X, F], [F^H, Y]], PSD, off-block exactly F
-    dual_value: float
+    dual_bound: float
     gap: float
     iterations: int
     xi: np.ndarray              # F = xi eta^H: F[i, j] = <xi(i), eta(j)>
     eta: np.ndarray
-    ill_conditioned: bool = False
-    dual_u: np.ndarray = field(default=None, repr=False)
-    dual_v: np.ndarray = field(default=None, repr=False)
+    ill_conditioned: bool
+    dual_u: np.ndarray = field(repr=False)
+    dual_v: np.ndarray = field(repr=False)
 
 
 class _Hermitian:
@@ -114,13 +118,6 @@ def _lapack(out):
     return out
 
 
-# numpy's SVD and eigensolvers query LAPACK's optimal workspace; querying it
-# too keeps these results bit-identical to numpy's
-
-def _cholesky(A):
-    return _lapack(zpotrf(A, lower=True))[0]
-
-
 def cholesky(a, lower=True, overwrite_a=False):
     """Cholesky factor of the real Schur matrix, scipy's signature, no scans.
 
@@ -128,6 +125,9 @@ def cholesky(a, lower=True, overwrite_a=False):
     """
     return _lapack(dpotrf(a, lower=lower, clean=0, overwrite_a=overwrite_a))[0]
 
+
+# numpy's SVD and eigensolvers query LAPACK's optimal workspace; querying it
+# too keeps these results bit-identical to numpy's
 
 def _svd(A, compute_uv=1, driver=(zgesdd, zgesdd_lwork)):
     routine, query = driver
@@ -139,11 +139,6 @@ def _eigh(A, compute_v=1):
     work, iwork, rwork, _ = zheevd_lwork(A.shape[0], compute_v=compute_v, lower=True)
     return _lapack(zheevd(A, compute_v=compute_v, lower=True, lwork=int(work.real),
                           liwork=iwork, lrwork=int(rwork)))
-
-
-def _mul(A, B, trans_a=0):
-    """A @ B, or A^H @ B with trans_a=2."""
-    return zgemm(1.0, A, B, trans_a=trans_a)
 
 
 def _psd_max_step(L, D):
@@ -242,23 +237,23 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
             break
 
         try:
-            LS = _cholesky(S)
-            LZ = _cholesky(Zp)
+            LS = _lapack(zpotrf(S, lower=True))[0]
+            LZ = _lapack(zpotrf(Zp, lower=True))[0]
         except np.linalg.LinAlgError:
             ill = True
             break
 
         # NT scaling: W Z W = S; we only need Ginv = W^{-1}
-        T = _mul(LZ, LS, trans_a=2)
+        T = zgemm(1.0, LZ, LS, trans_a=2)
         try:
             U_, sig, Vh_ = _svd(T)
         except np.linalg.LinAlgError:   # gesdd can fail on clustered values
             U_, sig, Vh_ = _svd(T, driver=(zgesvd, zgesvd_lwork))
         Rinv = _lapack(ztrtrs(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
                               lower=True, trans=2))[0].conj().T
-        Ginv = _mul(Rinv, Rinv, trans_a=2)
+        Ginv = zgemm(1.0, Rinv, Rinv, trans_a=2)
         Ginv = 0.5 * (Ginv + Ginv.conj().T)
-        t_column = adjoint(_mul(Ginv, Ginv))
+        t_column = adjoint(zgemm(1.0, Ginv, Ginv))
 
         # M.T is Fortran-ordered: potrf reads M's upper triangle as its lower
         # one and leaves the factor there, so a failed attempt assembles M again;
@@ -289,14 +284,14 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
 
         def direction(Rc):
             """(dS, dZ), or None when the solve gives a non-finite dy."""
-            dy = _lapack(dpotrs(Lm, adjoint(_mul(_mul(Ginv, Rc), Ginv)) - rd,
-                                lower=True))[0]
+            rhs = adjoint(zgemm(1.0, zgemm(1.0, Ginv, Rc), Ginv)) - rd
+            dy = _lapack(dpotrs(Lm, rhs, lower=True))[0]
             if not np.isfinite(dy).all():
                 return None
             dS = dy[-1] * np.eye(2 * n, dtype=complex)
             dS[:n, :n] += basis.hmat(dy[:nh])
             dS[n:, n:] += basis.hmat(dy[nh:-1])
-            dZ = _mul(_mul(Ginv, Rc - dS), Ginv)
+            dZ = zgemm(1.0, zgemm(1.0, Ginv, Rc - dS), Ginv)
             return dS, 0.5 * (dZ + dZ.conj().T)
 
         # predictor
@@ -326,13 +321,13 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
         Zp = 0.5 * ((Zp + ad * dZ) + (Zp + ad * dZ).conj().T)
 
     value = float(S[0, 0].real) * scale
-    dual_value = best_dual * scale
-    gap = value - dual_value
+    dual_bound = best_dual * scale
+    gap = value - dual_bound
     w, Q = _eigh(S)
     w = np.clip(w, 0.0, None)
     keep = w > 1e-14 * max(w.max(), 1.0)
     L = np.sqrt(scale) * (Q[:, keep] * np.sqrt(w[keep])[None, :])
-    sol = SDPSolution(value=value, gram=scale * S, dual_value=dual_value, gap=gap,
+    sol = SDPSolution(value=value, gram=scale * S, dual_bound=dual_bound, gap=gap,
                       iterations=it, xi=L[:n], eta=L[n:],
                       ill_conditioned=ill, dual_u=best_uv[0], dual_v=best_uv[1])
     if not gap <= tol:          # a NaN gap fails too

@@ -24,9 +24,9 @@ GROUP_BUILDERS = {
 }
 
 BILINEAR_DATA = {
-    "Z4": ([4], [[1]]),
-    "Z2xZ2": ([2, 2], [[0, 1], [0, 0]]),
-    "Z3xZ3": ([3, 3], [[0, 1], [0, 0]]),
+    "Z4": [[1]],
+    "Z2xZ2": [[0, 1], [0, 0]],
+    "Z3xZ3": [[0, 1], [0, 0]],
 }
 
 
@@ -41,8 +41,7 @@ def cocycles_for(name: str, group: tw.FiniteGroup) -> dict:
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     out = {"trivial": tw.trivial_cocycle(group)}
     if name in BILINEAR_DATA:
-        orders, A = BILINEAR_DATA[name]
-        out["bilinear"] = tw.bilinear_cocycle(group, A, orders=orders)
+        out["bilinear"] = tw.bilinear_cocycle(group, BILINEAR_DATA[name])
     twist, _ = tw.random_coboundary_twist(tw.trivial_cocycle(group, 4), 4, rng)
     out["twist"] = twist
     out["twist_normalized"] = tw.normalize_cocycle(twist)[0]
@@ -61,7 +60,7 @@ def _verify_trace_duality_identity(suite_groups):
     for name in ("Z3xZ3", "S3"):
         g = suite_groups[name]
         if name == "Z3xZ3":
-            sigma = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], orders=[3, 3])
+            sigma = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
         else:
             rng = np.random.default_rng(7)
             sigma, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 4), 4, rng)

@@ -2,8 +2,10 @@
 
 The cohomology oracles work on the whole table, with no generating-set
 reduction and no class-function shortcut, so agreement with the package is a
-real check.  The l1-ball projection is a plainer form of
-``littlewood._ball_scales`` at radius 1, which must match it bit for bit.
+real check.  ``regular_rep`` writes one matrix of lambda_sigma entry by
+entry, the reference for ``lift_matrix``.  The l1-ball projection is a
+plainer form of ``littlewood._ball_scales`` at radius 1, which must match it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ from math import lcm
 import numpy as np
 
 from twista.smith import solve_mod
+
+
+def regular_rep(sigma, s: int) -> np.ndarray:
+    """Unitary matrix of lambda_sigma(s): delta_u -> sigma(s, u) delta_{su}."""
+    n = sigma.group.order
+    out = np.zeros((n, n), dtype=complex)
+    for u in range(n):
+        out[sigma.group.mul[s, u], u] = sigma.values[s, u]
+    return out
 
 
 def coboundary_solution_full(c1, c2):

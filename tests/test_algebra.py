@@ -6,6 +6,8 @@ import pytest
 import twista as tw
 from twista.errors import GroupMismatch, InvalidTable, MissingCoefficients
 
+from oracles import regular_rep
+
 
 def rand_fn(group, rng):
     v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
@@ -94,9 +96,9 @@ def test_associativity(s3_sigma):
 
 def test_regular_rep_unitarity_and_identity(s3_sigma):
     g, sigma = s3_sigma
-    assert np.abs(tw.regular_rep(sigma, 0) - np.eye(g.order)).max() < 1e-15
+    assert np.abs(regular_rep(sigma, 0) - np.eye(g.order)).max() < 1e-15
     for s in range(g.order):
-        U = tw.regular_rep(sigma, s)
+        U = regular_rep(sigma, s)
         assert np.abs(U @ U.conj().T - np.eye(g.order)).max() < 1e-14
 
 
@@ -110,10 +112,18 @@ def test_projective_representation_law(s3_sigma):
             assert err < 1e-14
 
 
+def test_regular_rep_tensor_matches_the_per_entry_oracle(suite_cocycles):
+    for name in ("S3", "D4", "S4", "Z3xZ3"):
+        for kind, sigma in suite_cocycles[name].items():
+            lam = tw.regular_rep_tensor(sigma)
+            for s in range(sigma.group.order):
+                assert np.array_equal(lam[s], regular_rep(sigma, s)), (name, kind, s)
+
+
 def test_regular_rep_z2_worked_example():
     g = tw.cyclic(2)
     sigma = tw.validate_cocycle([[0, 0], [0, 1]], 2, g)
-    U = tw.regular_rep(sigma, 1)
+    U = regular_rep(sigma, 1)
     assert np.abs(U - np.array([[0, -1], [1, 0]])).max() < 1e-15
     assert np.abs(U @ U + np.eye(2)).max() < 1e-15
 
@@ -123,7 +133,7 @@ def test_commutation_with_left_translation(s3_sigma):
     rng = np.random.default_rng(4)
     f, h = rand_fn(g, rng), rand_fn(g, rng)
     for s in range(g.order):
-        U = tw.regular_rep(sigma, s)
+        U = regular_rep(sigma, s)
         lhs = tw.twisted_convolve(tw.GroupFunction(g, U @ f.values), h, sigma)
         rhs = tw.GroupFunction(g, U @ tw.twisted_convolve(f, h, sigma).values)
         assert np.abs(lhs.values - rhs.values).max() < 1e-12
@@ -139,7 +149,7 @@ def test_lift_identity_and_laws(s3_sigma):
     star = tw.lift(tw.twisted_involution(f, sigma), sigma)
     assert np.abs(star.matrix - tw.lift(f, sigma).matrix.conj().T).max() < 1e-12
     # one term per entry, so the scatter and the sum of the lambdas agree exactly
-    lams = sum(c * tw.regular_rep(sigma, s) for s, c in enumerate(f.values))
+    lams = sum(c * regular_rep(sigma, s) for s, c in enumerate(f.values))
     assert np.array_equal(tw.lift_matrix(f.values, sigma), lams)
 
 
@@ -273,7 +283,7 @@ def test_bullet_dual_pairing(s3_sigma):
         T = tw.lift(rand_fn(g, rng), sigma)
         u = rand_fn(g, rng)
         lhs = tw.pair_operator(T, tw.bullet_action(s, u, sigma))
-        adj = tw.regular_rep(sigma, s).conj().T @ T.matrix
+        adj = regular_rep(sigma, s).conj().T @ T.matrix
         Tadj = tw.TwistedOperator.from_matrix(sigma, adj)
         rhs = tw.pair_operator(Tadj, u)
         assert abs(lhs - rhs) < 1e-12

@@ -322,6 +322,77 @@ def test_report_amenability_empty(workdir):
     assert json.loads(rep.read_text())["samples"] == []
 
 
+def test_report_amenability_refuses_a_negative_sample_count(workdir):
+    gpath = workdir / "z2.json"
+    run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])
+    rep = workdir / "rep.json"
+    assert run(["report", "amenability", "--group", gpath, "--sigma", "trivial",
+                "--samples", -3, "-o", rep]) == 2
+    assert not rep.exists()
+
+
+def test_report_json_keys_follow_the_report_fields(workdir):
+    gpath = workdir / "z2.json"
+    run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])
+    rep = workdir / "rep.json"
+    assert run(["report", "amenability", "--group", gpath, "--sigma", "trivial",
+                "--samples", 1, "-o", rep]) == 0
+    doc = json.loads(rep.read_text())
+    assert list(doc) == ["group_order", "cocycle_m", "n_samples", "seed", "tol",
+                         "max_rel_gap", "inclusion_violations", "samples", "threshold"]
+    assert list(doc["samples"][0]) == ["sample_id", "seed", "b_norm", "cb_norm",
+                                       "rel_gap", "sdp_gap", "wall_time_ms", "status"]
+
+
+@pytest.fixture()
+def z3z3_sigma_and_z9(workdir):
+    """A bilinear cocycle file on Z3 x Z3 (group inline) and a Z9 group file."""
+    z3z3, z9 = workdir / "z3z3.json", workdir / "z9.json"
+    run(["group", "build", "--kind", "cyclic-product", "--orders", "3,3", "-o", z3z3])
+    run(["group", "build", "--kind", "cyclic", "--n", 9, "-o", z9])
+    sig = workdir / "sig.json"
+    assert run(["cocycle", "bilinear", "--group", z3z3, "--A", "0,1,0,0",
+                "-o", sig]) == 0
+    return z3z3, sig, z9
+
+
+@pytest.mark.parametrize("action", ["validate", "normalize"])
+def test_a_file_group_must_be_the_supplied_group(workdir, capsys, z3z3_sigma_and_z9, action):
+    z3z3, sig, z9 = z3z3_sigma_and_z9
+    assert run(["cocycle", action, "--in", sig, "--group", z3z3,
+                "-o", workdir / "ok.json"]) == 0
+    out = workdir / "out.json"
+    assert run(["cocycle", action, "--in", sig, "--group", z9, "-o", out]) == 2
+    assert "differs from the supplied group" in capsys.readouterr().err
+    if action == "validate":
+        assert json.loads(out.read_text())["ok"] is False
+    # a trivial table is a cocycle on Z9 too, so only the comparison refuses it
+    trivial = workdir / "trivial.json"
+    tw.save_cocycle(tw.trivial_cocycle(tw.load_group(z3z3), 3), trivial)
+    assert run(["cocycle", action, "--in", trivial, "--group", z9, "-o", out]) == 2
+
+
+def test_a_cocycle_file_must_live_on_the_function_group(workdir, capsys,
+                                                        z3z3_sigma_and_z9):
+    _, sig, z9 = z3z3_sigma_and_z9
+    phi = workdir / "phi.json"
+    tw.save_function(tw.delta(tw.load_group(z9), 0), phi)
+    assert run(["norm", "fourier", "--phi", phi, "--sigma", sig,
+                "-o", workdir / "f.json"]) == 2
+    assert "differs from the supplied group" in capsys.readouterr().err
+
+
+def test_a_named_group_file_is_compared_too(workdir, capsys, z3z3_sigma_and_z9):
+    z3z3, sig, z9 = z3z3_sigma_and_z9
+    doc = json.loads(sig.read_text())
+    doc["group"] = z3z3.name                    # a path, relative to the file
+    named = workdir / "named.json"
+    named.write_text(json.dumps(doc))
+    assert run(["cocycle", "validate", "--in", named, "--group", z3z3]) == 0
+    assert run(["cocycle", "validate", "--in", named, "--group", z9]) == 2
+    assert "differs from the supplied group" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_code_writes_partial(workdir):
     gpath = workdir / "z2.json"
     run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])

@@ -42,7 +42,7 @@ def test_bilinear_z3z3_brute_force():
             expo[s, t] = (s1 * t2) % 3
     c = tw.validate_cocycle(expo, 3, g)
     assert brute_force_identity(c.exponents, 3, g)
-    built = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], orders=[3, 3], m=3)
+    built = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], m=3)
     assert np.array_equal(built.exponents, expo)
 
 
@@ -71,7 +71,7 @@ def test_bilinear_zero_matrix_is_trivial():
 
 def test_bilinear_z4z4_antisymmetric_pairing():
     g = tw.cyclic_product([4, 4])
-    c = tw.bilinear_cocycle(g, [[0, 1], [-1, 0]], orders=[4, 4], m=4)
+    c = tw.bilinear_cocycle(g, [[0, 1], [-1, 0]], m=4)
     # sigma(s,t) conj(sigma(t,s)) = exp(2 pi i * 2(s1 t2 - s2 t1) / 4):
     # the antisymmetrized pairing doubles the off-diagonal entries
     for s in range(16):
@@ -83,13 +83,8 @@ def test_bilinear_z4z4_antisymmetric_pairing():
             assert abs(val - expect) < 1e-12
 
 
-def test_bilinear_requires_cyclic_product():
-    with pytest.raises(NotCyclicProduct):
-        tw.bilinear_cocycle(tw.symmetric(3), [[1]], orders=[6])
-
-
 def test_bilinear_infers_only_a_cyclic_product_layout():
-    # with orders omitted, the layout check is infer_cyclic_orders' own
+    # the layout check is infer_cyclic_orders' own
     for g in (tw.symmetric(3), tw.dihedral(4)):
         with pytest.raises(NotCyclicProduct):
             tw.bilinear_cocycle(g, [[1]])
@@ -104,12 +99,12 @@ def test_bilinear_infers_only_a_cyclic_product_layout():
 def test_bilinear_rejects_ill_defined_modulus():
     g = tw.cyclic_product([2, 4])
     with pytest.raises(CocycleViolation):
-        tw.bilinear_cocycle(g, [[0, 1], [0, 0]], orders=[2, 4], m=8)
+        tw.bilinear_cocycle(g, [[0, 1], [0, 0]], m=8)
 
 
 def test_bilinear_mixed_orders_default_m():
     g = tw.cyclic_product([2, 4])
-    c = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], orders=[2, 4])
+    c = tw.bilinear_cocycle(g, [[0, 1], [0, 0]])
     assert c.m == 4
     assert brute_force_identity(c.exponents, c.m, g)
 
@@ -189,7 +184,7 @@ def test_coboundary_test_rejects_a_wrong_witness(monkeypatch):
 
 def test_z2z2_bilinear_not_a_coboundary_exhaustive():
     g = tw.cyclic_product([2, 2])
-    c = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], orders=[2, 2], m=2)
+    c = tw.bilinear_cocycle(g, [[0, 1], [0, 0]], m=2)
     triv = tw.trivial_cocycle(g, 2)
     assert tw.coboundary_test(c, triv) is None
     # exhaustive oracle over all 2^4 candidate witnesses
@@ -217,7 +212,7 @@ def test_coboundary_decision_matches_exhaustive(kind, m):
     twisted, _ = tw.random_coboundary_twist(triv, m, rng)
     candidates.append(twisted)
     if order == 4:
-        candidates.append(tw.bilinear_cocycle(g, [[1]], orders=[4], m=4))
+        candidates.append(tw.bilinear_cocycle(g, [[1]], m=4))
     for c1 in candidates:
         for c2 in candidates:
             a, b = tw.unify_root_orders(c1, c2)
@@ -422,7 +417,7 @@ def test_coboundary_decision_matches_the_full_system(build, m):
     carries = [tw.validate_cocycle(k * np.outer(x, x), m, g) for k in (0, 1, 2, 3)]
     if g.order == 32:
         carries.append(tw.bilinear_cocycle(g, np.triu(np.ones((5, 5), int), 1),
-                                           orders=[2] * 5, m=2).rescaled(m))
+                                           m=2).rescaled(m))
     answers = set()
     for c1 in carries:
         twisted, _ = tw.random_coboundary_twist(c1, m, rng)

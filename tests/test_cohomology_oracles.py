@@ -25,8 +25,7 @@ def twist(c, m, seed):
 
 
 def quantum_torus(q, p):
-    return tw.bilinear_cocycle(tw.cyclic_product([q, q]), [[0, p], [0, 0]],
-                               orders=[q, q], m=q)
+    return tw.bilinear_cocycle(tw.cyclic_product([q, q]), [[0, p], [0, 0]], m=q)
 
 
 def family_pairs():

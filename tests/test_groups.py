@@ -191,6 +191,13 @@ def test_infer_cyclic_orders():
         tw.groups.infer_cyclic_orders(tw.symmetric(3))
 
 
+@pytest.mark.parametrize("orders", [[2, 2], [3, 3], [2, 4], [4, 8], [2, 2, 2],
+                                    [5, 5], [11, 11], [6], [2, 3]])
+def test_infer_cyclic_orders_reads_back_each_product(orders):
+    # bilinear_cocycle takes its factor orders from here alone
+    assert tw.groups.infer_cyclic_orders(tw.cyclic_product(orders)) == orders
+
+
 def test_generating_set_reaches_every_suite_group(suite_groups):
     extra = {"D20": tw.dihedral(20), "S5": tw.symmetric(5),
              "Z11xZ11": tw.cyclic_product([11, 11]), "Z10^3": tw.cyclic_product([10, 10, 10])}

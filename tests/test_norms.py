@@ -383,6 +383,11 @@ def test_amenability_report_empty():
     assert report.max_rel_gap == 0.0
 
 
+def test_amenability_report_refuses_a_negative_sample_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        tw.amenability_report(tw.trivial_cocycle(tw.cyclic(2)), n_samples=-3, seed=0)
+
+
 def test_bullet_action_is_fs_isometry():
     g = tw.symmetric(3)
     rng = np.random.default_rng(13)

@@ -52,7 +52,7 @@ def test_gamma2_unit_values():
     for n in (1, 2, 4, 6):
         sol = tw.gamma2(np.eye(n), tol=1e-6)
         assert abs(sol.value - 1.0) <= 1e-6
-        assert sol.dual_value <= sol.value
+        assert sol.dual_bound <= sol.value
     sol = tw.gamma2(np.ones((3, 3)), tol=1e-6)
     assert abs(sol.value - 1.0) <= 1e-6
 
@@ -71,7 +71,7 @@ def test_gamma2_hadamard_bracketed():
         Vh = np.linalg.solve(U, F)
         cand = np.linalg.norm(Vh, axis=0).max()   # max factor row norm product
         best = min(best, cand)
-    assert best >= sol.dual_value - 1e-9
+    assert best >= sol.dual_bound - 1e-9
     assert sol.value <= best + 1e-6
     assert abs(best - np.sqrt(2.0)) < 1e-3
 
@@ -153,7 +153,7 @@ def test_gamma2_deterministic_bitwise():
     a = tw.gamma2(F, tol=1e-7)
     b = tw.gamma2(F.copy(), tol=1e-7)
     assert a.value == b.value
-    assert a.dual_value == b.dual_value
+    assert a.dual_bound == b.dual_bound
     assert np.array_equal(a.gram, b.gram)
     assert a.iterations == b.iterations
 
@@ -177,7 +177,7 @@ def test_gamma2_solver_failure_carries_partial(monkeypatch):
         tw.gamma2(F, tol=1e-13)
     part = exc.value.partial
     assert part is not None
-    assert part.value >= part.dual_value
+    assert part.value >= part.dual_bound
 
 
 def _sparse_complex(rng, shape):
@@ -187,9 +187,9 @@ def _sparse_complex(rng, shape):
 
 
 def _assert_bracketed(sol, exact):
-    # gamma2 raises unless value - dual_value <= tol; slack is for rounding
+    # gamma2 raises unless value - dual_bound <= tol; slack is for rounding
     slack = 1e-12 * max(1.0, exact)
-    assert sol.dual_value - slack <= exact <= sol.value + slack
+    assert sol.dual_bound - slack <= exact <= sol.value + slack
 
 
 @given(st.integers(1, 8), st.integers(0, 10**6))
@@ -329,7 +329,7 @@ def test_gamma2_trajectory_is_pinned(name):
 def test_gamma2_agrees_with_the_bounded_diagonal_form(name):
     old_value = _PARENT_VALUES[name]
     sol = tw.gamma2(_trajectory_input(name))
-    assert sol.dual_value <= old_value
+    assert sol.dual_bound <= old_value
     assert abs(sol.value - old_value) <= 1e-6
 
 
@@ -391,7 +391,7 @@ def test_gamma2_fails_typed_on_a_non_finite_schur_factor(monkeypatch, at_call, e
         tw.gamma2(F)
     part = exc.value.partial
     assert part.ill_conditioned and part.iterations == at_call
-    assert np.isfinite([part.value, part.dual_value, part.gap]).all()
+    assert np.isfinite([part.value, part.dual_bound, part.gap]).all()
     assert np.isfinite(part.gram).all() and np.isfinite(part.xi).all()
 
 

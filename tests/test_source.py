@@ -38,6 +38,41 @@ def test_no_object_dtype_arrays_in_the_package():
     assert SOURCE.is_dir() and not found, found
 
 
+def _unused_imports(tree):
+    # names bound by module-level imports that no Name in the module reads;
+    # an Attribute chain such as np.linalg reads its root Name
+    bound = {}
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom) and top.module == "__future__":
+            continue
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            for alias in top.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound.setdefault(name, top.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_module_level_import_is_used():
+    # __init__ imports to re-export; everywhere else an import nothing reads
+    # is left over from removed code
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"
+             for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert SOURCE.is_dir() and not found, found
+
+
+def test_no_raise_assertion_error_in_the_package():
+    # a branch argparse cannot reach is no branch: dispatch falls through to
+    # its last case instead of guarding an impossible one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and getattr(getattr(node.exc, "func", node.exc), "id", None) == "AssertionError"]
+    assert SOURCE.is_dir() and not found, found
+
+
 _LOADERS = {"load_group", "load_cocycle", "load_function"}
 
 
