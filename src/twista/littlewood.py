@@ -90,11 +90,14 @@ def _ball_scales(r: np.ndarray, radius: float):
     return np.divide(np.maximum(r - tau, 0.0), r, out=np.zeros_like(r), where=r > 0)
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
 def rounding_shrink(k: int) -> float:
     """1 - gamma_k, where gamma_k = k u / (1 - k u) bounds the relative error
     of k roundings (Higham, ch. 3); a dual witness scaled by it stays
     feasible, and pairs to at most the value, when computed in floating point."""
-    ku = k * np.finfo(float).eps / 2
+    ku = k * _UNIT_ROUNDOFF
     return 1.0 - ku / (1.0 - ku)
 
 

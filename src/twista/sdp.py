@@ -25,27 +25,42 @@ evaluated at u, v read off the dual iterate; any unit pair gives a valid
 bound, so the reported gap is a true certificate independent of solver
 internals.
 
+Newton equations: the Schur operator on y = (hvec X, hvec Y, t) has
+m = 2n^2 + 1 coordinates, but it is never formed.  Its (X, Y) part is made
+of congruences by the blocks of the scaling, so block elimination of X
+leaves an n^2 x n^2 Schur complement on Y, factored in place, and the 2n
+pinned diagonal coordinates with t form a rank-2n border (see _Newton).  The
+factorization costs n^6 / 3 flops against m^3 / 3 for the whole matrix, and
+a solve holds about 4.8 n^4 doubles at its peak (n = 24; 6.3 n^4 with the
+whole matrix): the complement, its coupling and one K (x) conj K product.  One step of
+iterative refinement against the operator applied by congruences, O(n^3),
+follows every solve.
+
 Every dense kernel is a direct f2py call into scipy's LAPACK and BLAS, the
-OpenBLAS that factors the Schur matrix.  numpy links a second OpenBLAS with
-its own thread pool, whose workers keep spinning for a while after each call;
-on a few cores that spinning takes a core from the other library's next call.
-The direct calls also skip scipy.linalg's validation, whose finiteness scans
-read the whole m x m Schur matrix several times per iteration.  Finiteness is
-checked instead on F at entry and on each Newton direction, an m-vector:
-OpenBLAS's potrf reports success on a matrix holding a NaN.
+OpenBLAS that factors the Schur complement.  numpy links a second OpenBLAS
+with its own thread pool, whose workers keep spinning for a while after each
+call; on a few cores that spinning takes a core from the other library's
+next call.  The direct calls also skip scipy.linalg's validation, whose
+finiteness scans would read the whole n^2 x n^2 complement several times per
+iteration.  Finiteness is checked instead on F at entry and on each Newton
+direction, an m-vector: OpenBLAS's potrf reports success on a matrix holding
+a NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import dgemm, dtrsm, zgemm
 from scipy.linalg.lapack import (dpotrf, dpotrs, zgesdd, zgesdd_lwork, zgesvd,
-                                 zgesvd_lwork, zheevd, zheevd_lwork, zpotrf, zpotrs,
-                                 ztrtrs)
+                                 zgesvd_lwork, zheevd, zheevd_lwork, zhegst, zpotrf,
+                                 zpotrs, ztrtrs)
 
 from .errors import CertificateError, SolverFailure, UnsupportedSize
+from .littlewood import rounding_shrink
 
 MAX_SIZE = 128
 MAX_ITER = 100          # interior-point iteration budget
@@ -119,7 +134,7 @@ def _lapack(out):
 
 
 def cholesky(a, lower=True, overwrite_a=False):
-    """Cholesky factor of the real Schur matrix, scipy's signature, no scans.
+    """Cholesky factor of the real Schur complement, scipy's signature, no scans.
 
     The triangle that is not the factor keeps whatever a held there.
     """
@@ -127,25 +142,34 @@ def cholesky(a, lower=True, overwrite_a=False):
 
 
 # numpy's SVD and eigensolvers query LAPACK's optimal workspace; querying it
-# too keeps these results bit-identical to numpy's
+# too keeps these results bit-identical to numpy's.  A query depends only on
+# the shape, so each is made once per process
+
+@cache
+def _workspace(query, *args, **kwargs):
+    return query(*args, **kwargs)
+
 
 def _svd(A, compute_uv=1, driver=(zgesdd, zgesdd_lwork)):
     routine, query = driver
-    work, _ = query(*A.shape, compute_uv=compute_uv)
+    work, _ = _workspace(query, *A.shape, compute_uv=compute_uv)
     return _lapack(routine(A, compute_uv=compute_uv, lwork=int(work.real)))
 
 
 def _eigh(A, compute_v=1):
-    work, iwork, rwork, _ = zheevd_lwork(A.shape[0], compute_v=compute_v, lower=True)
+    """Eigen-decomposition of a Hermitian A from its lower triangle."""
+    work, iwork, rwork, _ = _workspace(zheevd_lwork, A.shape[0], compute_v=compute_v,
+                                       lower=True)
     return _lapack(zheevd(A, compute_v=compute_v, lower=True, lwork=int(work.real),
                           liwork=iwork, lrwork=int(rwork)))
 
 
 def _psd_max_step(L, D):
-    """sup alpha with chol-factored base plus alpha * D staying PSD."""
-    M = _lapack(ztrtrs(L, D, lower=True))[0]
-    M = _lapack(ztrtrs(L, M.conj().T, lower=True))[0].conj().T
-    w = _eigh(0.5 * (M + M.conj().T), compute_v=0)[0]
+    """sup alpha with chol-factored base plus alpha * D staying PSD.
+
+    hegst forms the lower triangle of L^{-1} D L^{-H} from that of D.
+    """
+    w = _eigh(_lapack(zhegst(D, L, lower=True))[0], compute_v=0)[0]
     lo = w.min()
     if lo >= -1e-14:
         return np.inf
@@ -155,14 +179,183 @@ def _psd_max_step(L, D):
 def _dual_trace_bound(F, Zp):
     """Valid lower bound on gamma2(F) from the diagonal of a PSD dual iterate."""
     n = F.shape[0]
-    u = np.sqrt(np.clip(np.real(np.diag(Zp[:n, :n])), 0.0, None))
-    v = np.sqrt(np.clip(np.real(np.diag(Zp[n:, n:])), 0.0, None))
-    nu, nv = np.sqrt(np.dot(u, u)), np.sqrt(np.dot(v, v))
+    uv = np.sqrt(np.maximum(Zp.diagonal().real, 0.0))
+    u, v = uv[:n], uv[n:]
+    nu, nv = math.sqrt(np.dot(u, u)), math.sqrt(np.dot(v, v))
     if nu == 0.0 or nv == 0.0:
         return 0.0, u, v
     u, v = u / nu, v / nv
     sv = _svd((u[:, None] * F) * v[None, :], compute_uv=0)[1]
-    return float(sv.sum()), u, v
+    # the computed sum can round above the trace norm (by 2 ulp on the 2 x 2
+    # Hadamard matrix at a uniform pair); each singular value of a backward
+    # stable SVD is within about n u ||A||_2 of its own, so gamma_k with
+    # k = 2 n^2 + 4 n + 16 covers them, the entries of A and the unit norms
+    return float(sv.sum()) * rounding_shrink(2 * F.size + 4 * n + 16), u, v
+
+
+def _congruence(Q, K):
+    """K Q_j K for a stack of matrices, through two products."""
+    k, m = Q.shape[:2]
+    P = zgemm(1.0, Q.reshape(k * m, m), K)
+    P = P.reshape(k, m, m).transpose(1, 0, 2).reshape(m, k * m)
+    return zgemm(1.0, K, P).reshape(m, k, m).transpose(1, 0, 2)
+
+
+def _hvec_congruence(T, K):
+    """hvec of K hmat(T_j) K for a stack of real T_j, as a stack.
+
+    For Hermitian K and N = K T K, Re + Im of K ((1 + i) T + (1 - i) T^T) K / 2
+    is Re N - Im N^T, so the Hermitian matrix is never formed.
+    """
+    N = _congruence(T, K)
+    return N.real - N.imag.transpose(0, 2, 1)
+
+
+class _Newton:
+    """Newton equations of the pinned form, block-eliminated onto the Y block.
+
+    For a scaling W = Ginv the equations read M dy = rhs, dy = (hvec X,
+    hvec Y, t), with the 2n diagonal coordinates of X and Y pinned to 0.  On
+    (X, Y) the operator is M0 = [[cong W11, cong W12], [cong W21, cong W22]],
+    cong K the matrix of H -> K H K^H; the inverse of cong W11 is
+    cong W11^{-1}, so eliminating X leaves the n^2 x n^2 complement
+    S = cong W22 - cong K, K = W21 W11^{-1} W12, and the coupling is
+    cong J, J = W21 W11^{-1}.  t enters as t I, the value t on every
+    diagonal coordinate, so the pinned coordinates and t form a rank-2n
+    border: with Z = M0^{-1} D over the 2n diagonal unit columns D and
+    H = D^T Z, M0 w = r + D lam and D^T w = t 1 give lam and t from H.  One
+    step of iterative refinement against M applied by congruences follows
+    each solve.  Buffers and index arrays are built once per gamma2 solve.
+    """
+
+    def __init__(self, n):
+        self.basis = _Hermitian(n)
+        nh = n * n
+        self.n, self.nh = n, nh
+        self.pinned = np.concatenate([self.basis.diag, nh + self.basis.diag])
+        # flat positions of the X and Y blocks in a 2n x 2n matrix, in hvec order
+        block = (2 * n * np.arange(n)[:, None] + np.arange(n)).ravel()
+        self.blocks = np.concatenate([block, block + (2 * n + 1) * n])
+        # dy's coordinate at each entry of that matrix: t on the diagonal, and
+        # the pinned coordinate 0, which is 0, off the blocks
+        self.at = np.zeros((2 * n, 2 * n), dtype=np.intp)
+        self.at.ravel()[self.blocks] = np.arange(2 * nh)
+        self.at.ravel()[::2 * n + 1] = 2 * nh
+        self.eye_w12 = np.eye(n, 2 * n, dtype=complex)     # [I, W12], see factor
+        self.schur = np.empty((nh, nh))     # the complement S, factored in place
+        self.schur_diag = self.schur.reshape(-1)[::nh + 1]
+        self.G = np.empty((nh, nh))     # cong K, then the coupling cong J
+        self.D = np.zeros((nh, 2 * n), order="F")   # the border's right-hand sides
+        self.D[self.basis.diag, np.arange(n, 2 * n)] = 1.0
+        self.D1 = self.D[:, :n]
+        self.V = np.zeros((2 * nh, 2 * n), order="F")     # Z's pieces, see factor
+        self.ones = np.ones(2 * n)
+
+    def adjoint(self, R):
+        """M's coordinates of a stack of 2n x 2n matrices R = Re Q + Im Q, one column each.
+
+        A Hermitian Q has hvec coordinates Re Q + Im Q in each diagonal block.
+        """
+        k = R.shape[0]
+        out = np.empty((2 * self.nh + 1, k))
+        out[:-1] = R.reshape(k, -1)[:, self.blocks].T
+        out[self.pinned] = 0.0
+        out[-1] = np.trace(R, axis1=1, axis2=2)
+        return out
+
+    def lift(self, dy):
+        """The steps dS of dy's columns: every diagonal entry t, off-diagonal blocks 0.
+
+        With T the real block matrix of hvec X and hvec Y and t on its
+        diagonal, dS = ((T + T^T) + i (T - T^T)) / 2, each diagonal entry
+        t / 2 + t / 2, exactly t.
+        """
+        T = dy[self.at].transpose(2, 0, 1)
+        return T * (0.5 + 0.5j) + T.transpose(0, 2, 1) * (0.5 - 0.5j)
+
+    def apply(self, dy):
+        """M dy by congruences with Ginv, one column per system."""
+        return self.adjoint(_hvec_congruence(dy[self.at].transpose(2, 0, 1), self.Ginv))
+
+    def factor(self, Ginv):
+        """Factor the equations at the scaling Ginv; True when reg was raised.
+
+        Raises LinAlgError when W11, the complement or the border matrix is
+        not numerically positive definite.
+        """
+        n, nh, basis, S, G = self.n, self.nh, self.basis, self.schur, self.G
+        self.Ginv = Ginv
+        # W11^{-1} [I, W12] = [W11^{-1}, J^H], and K = W12^H J^H
+        L11 = _lapack(zpotrf(Ginv[:n, :n], lower=True))[0]
+        self.eye_w12[:, n:] = Ginv[:n, n:]
+        P = _lapack(zpotrs(L11, self.eye_w12, lower=True))[0]
+        Wi, Jh = P[:, :n], P[:, n:]
+        self.Wi = Wi = 0.5 * (Wi + Wi.conj().T)
+        K = zgemm(1.0, Ginv[:n, n:], Jh, trans_a=2)
+
+        # S.T is Fortran-ordered: potrf reads S's upper triangle as its lower
+        # one and leaves the factor there, so a failed attempt assembles S again
+        retried = False
+        for attempt in range(8):
+            basis.gram_congruence(Ginv[n:, n:], S)
+            basis.gram_congruence(K, G)
+            S -= G
+            reg = 100.0 * reg if attempt else 1e-13 * max(1.0, self.schur_diag.sum() / nh)
+            self.schur_diag += reg
+            try:
+                self.L = cholesky(S.T, lower=True, overwrite_a=True)
+                break
+            except np.linalg.LinAlgError:
+                retried = True
+        else:
+            raise np.linalg.LinAlgError("the Schur complement is not positive definite")
+        basis.gram_congruence(Jh.conj().T, G)
+
+        # Z = M0^{-1} D: cong J E_ii is column ii of G, so the Y part of Z is
+        # S^{-1} of the columns of D; its X part is cong W11^{-1} E_ii = c_i c_i^H,
+        # c_i the column i of W11^{-1}, less cong J^T of its Y part.  V holds
+        # (c_i c_i^H, Y part), from which H and every solve read the X part
+        D, D1, V = self.D, self.D1, self.V
+        np.negative(G[:, basis.diag], out=D1)
+        Z2 = _lapack(dpotrs(self.L, D, lower=True))[0]
+        V[nh:] = Z2
+        C = Wi[:, None, :] * Wi.conj()[None, :, :]
+        V[:nh, :n] = (C.real + C.imag).reshape(nh, n)
+        H = V[self.pinned]
+        H[:n] += dgemm(1.0, D1, Z2, trans_a=1)
+        LH = _lapack(dpotrf(H, lower=True))[0]
+        # V H^{-1} by two triangular solves from the right: potrs on V^T took
+        # twice as long at n = 6, 9 and 16 (one thread)
+        self.border = dtrsm(1.0, LH, dtrsm(1.0, LH, V, side=1, lower=True, trans_a=1),
+                            side=1, lower=True, overwrite_b=True)
+        self.h = _lapack(dpotrs(LH, self.ones, lower=True))[0]   # H^{-1} 1
+        self.h_sum = self.h.sum()
+        return retried
+
+    def _solve(self, r):
+        n, nh, k, G = self.n, self.nh, r.shape[1], self.G
+        # x = (r1, r2 - cong J r1): the Y part of M0^{-1} r is S^{-1} of the
+        # second half, and q = D^T M0^{-1} r = V^T x
+        x = r[:-1].copy()
+        x[nh:] -= dgemm(1.0, G.T, x[:nh], trans_a=1)
+        q = dgemm(1.0, self.V, x, trans_a=1)
+        t = (r[-1] + np.dot(self.h, q)) / self.h_sum
+        # w = M0^{-1} r + Z lam with lam = H^{-1} (t 1 - q), and Z's X part
+        # is V's less cong J^T of its Y part
+        w = dgemm(1.0, self.border, t - q)
+        w[nh:] += _lapack(dpotrs(self.L, x[nh:], lower=True))[0]
+        w[:nh] += _hvec_congruence(x[:nh].T.reshape(k, n, n), self.Wi).reshape(k, nh).T
+        w[:nh] -= dgemm(1.0, G.T, w[nh:])
+        dy = np.empty((2 * nh + 1, k))
+        dy[:-1] = w
+        dy[self.pinned] = 0.0
+        dy[-1] = t
+        return dy
+
+    def solve(self, rhs):
+        """dy with M dy = rhs, one column per system; rhs is 0 at the pinned rows."""
+        dy = self._solve(rhs)
+        return dy + self._solve(rhs - self.apply(dy))
 
 
 def gamma2(F, tol: float = 1e-6) -> SDPSolution:
@@ -190,37 +383,21 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     F = F / scale
 
     # y = (hvec X, hvec Y, t) and S(y) = [[X, F], [F^H, Y]] + t I, where the
-    # 2n diagonal coordinates of X and Y are pinned to 0: they get unit rows
-    # in the Schur matrix and a zero right-hand side, and every diagonal
+    # 2n diagonal coordinates of X and Y are pinned to 0, so every diagonal
     # entry of S is exactly t
-    basis = _Hermitian(n)
-    nh = n * n
-    m = 2 * nh + 1
-    diags = np.concatenate([basis.diag, nh + basis.diag])
-
-    def adjoint(Q):
-        out = np.empty(m)
-        out[:nh] = basis.hvec(Q[:n, :n])
-        out[nh:-1] = basis.hvec(Q[n:, n:])
-        out[diags] = 0.0
-        out[-1] = np.real(np.trace(Q))
-        return out
-
-    b = np.zeros(m)
-    b[-1] = 1.0
+    newton = _Newton(n)
+    Rc = np.empty((2, 2 * n, 2 * n), dtype=complex)
 
     c0 = float(_svd(F, compute_uv=0)[1].max()) * 1.5 + 1.0
-    S = c0 * np.eye(2 * n, dtype=complex)
+    eye = np.eye(2 * n, dtype=complex)
+    S = c0 * eye
     S[:n, n:] = F
     S[n:, :n] = F.conj().T
-    Zp = np.eye(2 * n, dtype=complex) / (2 * n)     # diagonal with trace 1: dual feasible
+    Zp = eye / (2 * n)      # diagonal with trace 1: dual feasible
 
     best_dual = 0.0
     best_uv = (np.ones(n) / np.sqrt(n), np.ones(n) / np.sqrt(n))
     ill = False
-    # Schur complement: only its upper triangle is written, the rest stays 0
-    M = np.zeros((m, m))
-    Mdiag = M.reshape(-1)[::m + 1]
     for it in range(1, MAX_ITER + 1):
         gap_inner = float(np.real(np.vdot(Zp, S)))
         mu = gap_inner / (2 * n)
@@ -253,72 +430,51 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
                               lower=True, trans=2))[0].conj().T
         Ginv = zgemm(1.0, Rinv, Rinv, trans_a=2)
         Ginv = 0.5 * (Ginv + Ginv.conj().T)
-        t_column = adjoint(zgemm(1.0, Ginv, Ginv))
-
-        # M.T is Fortran-ordered: potrf reads M's upper triangle as its lower
-        # one and leaves the factor there, so a failed attempt assembles M again;
-        # potrs reads only that triangle, never the stale entries below it
-        Lm = None
-        for attempt in range(8):
-            # the X-Y block is the congruence by Ginv's off-diagonal block
-            basis.gram_congruence(Ginv[:n, :n], M[:nh, :nh])
-            basis.gram_congruence(Ginv[n:, n:], M[nh:-1, nh:-1])
-            basis.gram_congruence(Ginv[:n, n:], M[:nh, nh:-1])
-            M[:, -1] = t_column
-            M[diags] = M[:, diags] = 0.0
-            Mdiag[diags] = 1.0
-            reg = 100.0 * reg if attempt else 1e-13 * max(1.0, Mdiag.sum() / m)
-            Mdiag += reg
-            try:
-                Lm = cholesky(M.T, lower=True, overwrite_a=True)
-                break
-            except np.linalg.LinAlgError:
-                ill = True
-        if Lm is None:
+        try:
+            ill |= newton.factor(Ginv)
+        except np.linalg.LinAlgError:
             ill = True
             break
 
-        Zi = _lapack(zpotrs(LZ, np.eye(2 * n, dtype=complex), lower=True))[0]
-        Zi = 0.5 * (Zi + Zi.conj().T)
-        rd = b - adjoint(Zp)
-
-        def direction(Rc):
-            """(dS, dZ), or None when the solve gives a non-finite dy."""
-            rhs = adjoint(zgemm(1.0, zgemm(1.0, Ginv, Rc), Ginv)) - rd
-            dy = _lapack(dpotrs(Lm, rhs, lower=True))[0]
-            if not np.isfinite(dy).all():
-                return None
-            dS = dy[-1] * np.eye(2 * n, dtype=complex)
-            dS[:n, :n] += basis.hmat(dy[:nh])
-            dS[n:, n:] += basis.hmat(dy[nh:-1])
-            dZ = zgemm(1.0, zgemm(1.0, Ginv, Rc - dS), Ginv)
-            return dS, 0.5 * (dZ + dZ.conj().T)
+        # the predictor (Rc = -S) and the centering term (Rc = Zp^{-1}) share
+        # one two-column solve; (dS, dZ) is linear in Rc, so the corrector's,
+        # at Rc = sigma_c mu Zp^{-1} - S, is the predictor's plus sigma_c mu
+        # times the other's.  The right-hand sides are adjoint(Ginv Rc Ginv),
+        # less the dual residual b - adjoint(Zp), b = e_t, for the predictor
+        Zi = _lapack(zpotrs(LZ, eye, lower=True))[0]
+        np.negative(S, out=Rc[0])
+        np.add(Zi, Zi.conj().T, out=Rc[1])
+        Rc[1] *= 0.5
+        Q = _congruence(Rc, Ginv)
+        Q[0] += Zp
+        rhs = newton.adjoint(Q.real + Q.imag)
+        rhs[-1, 0] -= 1.0
+        dy = newton.solve(rhs)
+        if not np.isfinite(dy).all():
+            ill = True
+            break
+        dS = newton.lift(dy)
+        dZ = _congruence(Rc - dS, Ginv)
+        dZ = 0.5 * (dZ + dZ.conj().transpose(0, 2, 1))
 
         # predictor
-        step = direction(-S)
-        if step is None:
-            ill = True
-            break
-        dS, dZ = step
-        ap = min(1.0, 0.99 * _psd_max_step(LS, dS))
-        ad = min(1.0, 0.99 * _psd_max_step(LZ, dZ))
+        ap = min(1.0, 0.99 * _psd_max_step(LS, dS[0]))
+        ad = min(1.0, 0.99 * _psd_max_step(LZ, dZ[0]))
         a = min(ap, ad)
-        gap_aff = np.real(np.vdot(Zp + a * dZ, S + a * dS))
-        sigma_c = float(np.clip((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8, 0.999))
+        gap_aff = np.real(np.vdot(Zp + a * dZ[0], S + a * dS[0]))
+        sigma_c = min(max((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8), 0.999)
 
         # corrector with adaptive centering, same factorization
-        step = direction(sigma_c * mu * Zi - S)
-        if step is None:
-            ill = True
-            break
-        dS, dZ = step
+        c = sigma_c * mu
+        dS, dZ = dS[0] + c * dS[1], dZ[0] + c * dZ[1]
         ap = min(1.0, 0.98 * _psd_max_step(LS, dS))
         ad = min(1.0, 0.98 * _psd_max_step(LZ, dZ))
         if min(ap, ad) < 1e-9:
             ill = True
             break
         S = S + ap * dS
-        Zp = 0.5 * ((Zp + ad * dZ) + (Zp + ad * dZ).conj().T)
+        Zp = Zp + ad * dZ
+        Zp = 0.5 * (Zp + Zp.conj().T)
 
     value = float(S[0, 0].real) * scale
     dual_bound = best_dual * scale

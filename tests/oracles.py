@@ -5,7 +5,9 @@ reduction and no class-function shortcut, so agreement with the package is a
 real check.  ``regular_rep`` writes one matrix of lambda_sigma entry by
 entry, the reference for ``lift_matrix``.  The l1-ball projection is a
 plainer form of ``littlewood._ball_scales`` at radius 1, which must match it
-bit for bit.
+bit for bit.  ``dense_newton_solve`` assembles gamma2's whole m x m Newton
+matrix, m = 2 n^2 + 1, column by column from its definition, the reference
+for the block-eliminated solve.
 """
 
 from __future__ import annotations
@@ -190,3 +192,43 @@ def project_l1_ball(r):
     with np.errstate(invalid="ignore", divide="ignore"):
         scales = np.where(r > 0, shrunk / np.where(r > 0, r, 1.0), 0.0)
     return scales
+
+
+def dense_newton_solve(Ginv, rhs):
+    """gamma2's Newton direction dy = (hvec X, hvec Y, t) from the dense matrix M.
+
+    hvec H = vec(Re H + Im H).  Column j of M is the adjoint (the hvec of
+    both diagonal blocks, then the trace) of Ginv A_j Ginv, where A_j is
+    coordinate j's block-diagonal Hermitian matrix; t's is the identity, so
+    its column is the adjoint of Ginv^2.  The 2n pinned diagonal coordinates
+    get unit rows and columns and a zero right-hand side.  rhs may hold one
+    column per system.
+    """
+    n = Ginv.shape[0] // 2
+    nh = n * n
+    m = 2 * nh + 1
+
+    def hmat(x):
+        S = x.reshape(n, n)
+        return 0.5 * ((S + S.T) + 1j * (S - S.T))
+
+    def adjoint(Q):
+        X, Y = Q[:n, :n], Q[n:, n:]
+        return np.concatenate([(X.real + X.imag).ravel(), (Y.real + Y.imag).ravel(),
+                               [np.trace(Q).real]])
+
+    M = np.empty((m, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        A = e[-1] * np.eye(2 * n, dtype=complex)
+        A[:n, :n] += hmat(e[:nh])
+        A[n:, n:] += hmat(e[nh:-1])
+        M[:, j] = adjoint(Ginv @ A @ Ginv)
+    pinned = np.concatenate([np.arange(n) * (n + 1), nh + np.arange(n) * (n + 1)])
+    M[pinned] = 0.0
+    M[:, pinned] = 0.0
+    M[pinned, pinned] = 1.0
+    b = np.array(rhs, dtype=float)
+    b[pinned] = 0.0
+    return np.linalg.solve(M, b)

@@ -204,8 +204,9 @@ def test_sdp_calls_scipy_only_through_lapack_and_blas():
 
 
 def test_the_schur_matrix_is_factored_in_place(monkeypatch):
-    # potrf gets the Fortran-ordered view M.T and leaves the factor there:
-    # no m x m copy on the way in or out
+    # the Schur complement on the Y block is n^2 x n^2; potrf gets its
+    # Fortran-ordered view S.T and leaves the factor there: no copy on the
+    # way in or out
     import numpy as np
     from twista import sdp
     factor, seen = sdp.cholesky, []
@@ -217,7 +218,7 @@ def test_the_schur_matrix_is_factored_in_place(monkeypatch):
 
     monkeypatch.setattr(sdp, "cholesky", spy)
     n = 5
-    m = 2 * n * n + 1
+    m = n * n
     rng = np.random.default_rng(0)
     sol = sdp.gamma2(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     assert len(seen) == sol.iterations - 1
