@@ -30,21 +30,23 @@ m = 2n^2 + 1 coordinates, but it is never formed.  Its (X, Y) part is made
 of congruences by the blocks of the scaling, so block elimination of X
 leaves an n^2 x n^2 Schur complement on Y, factored in place, and the 2n
 pinned diagonal coordinates with t form a rank-2n border (see _Newton).  The
-factorization costs n^6 / 3 flops against m^3 / 3 for the whole matrix, and
-a solve holds about 4.8 n^4 doubles at its peak (n = 24; 6.3 n^4 with the
-whole matrix): the complement, its coupling and one K (x) conj K product.  One step of
-iterative refinement against the operator applied by congruences, O(n^3),
-follows every solve.
+factorization costs n^6 / 3 flops against m^3 / 3 for the whole matrix.
+Every block of a congruence matrix is a rank-4 product, and one batched
+product writes them all (see _Hermitian.gram_congruence), so a solve holds
+about 3.4 n^4 doubles at its peak (n = 24): the complement and its coupling,
+2 n^4, and O(n^3) besides.  One step of iterative refinement against the
+operator applied by congruences, O(n^3), follows every solve.
 
-Every dense kernel is a direct f2py call into scipy's LAPACK and BLAS, the
-OpenBLAS that factors the Schur complement.  numpy links a second OpenBLAS
-with its own thread pool, whose workers keep spinning for a while after each
-call; on a few cores that spinning takes a core from the other library's
-next call.  The direct calls also skip scipy.linalg's validation, whose
-finiteness scans would read the whole n^2 x n^2 complement several times per
-iteration.  Finiteness is checked instead on F at entry and on each Newton
-direction, an m-vector: OpenBLAS's potrf reports success on a matrix holding
-a NaN.
+Every dense kernel but one is a direct f2py call into scipy's LAPACK and
+BLAS, the OpenBLAS that factors the Schur complement.  numpy links a second
+OpenBLAS with its own thread pool, whose workers keep spinning for a while
+after each call; on a few cores that spinning takes a core from the other
+library's next call.  The exception, the congruences' batched n x 4 by 4 x n
+product, never wakes that pool (see gram_congruence).  The direct calls
+also skip scipy.linalg's validation, whose finiteness scans would read the
+whole n^2 x n^2 complement several times per iteration.  Finiteness is
+checked instead on F at entry and on each Newton direction, an m-vector:
+OpenBLAS's potrf reports success on a matrix holding a NaN.
 """
 
 from __future__ import annotations
@@ -95,9 +97,25 @@ class _Hermitian:
     the real diagonal of H sits at the flat positions i (n + 1).
     """
 
+    # K and i K, whose real and imaginary parts are a, b and -b, a (a = Re K, b = Im K)
+    phases = np.array([1, 1j])[:, None, None]
+
     def __init__(self, n):
         self.n = n
         self.diag = np.arange(n) * (n + 1)
+        # gram_congruence's factors, 8 n^3 doubles.  Block (p, q) of rank4
+        # holds the rows a_p, a_q, b_p, -b_q, a_p, b_q, b_p, a_q: rows 0-3 are
+        # the left factor's columns, rows 7-4 the right factor's rows.  The
+        # even rows are a_p, b_p twice, the odd ones the real and then the
+        # imaginary parts of row q of K and i K
+        self.phased = np.empty((2, n, n), dtype=complex)
+        rank4 = np.empty((n, n, 8, n))
+        parts = self.phased.view(float).reshape(2, n, n, 2)   # [K or i K, row, col, Re or Im]
+        self.rows = rank4.reshape(n, n, 2, 2, 2, n)           # row 4 u + 2 v + w at [., ., u, v, w]
+        self.p_rows = parts[0].transpose(0, 2, 1)[:, None, None]
+        self.q_rows = parts.transpose(1, 3, 0, 2)[None]
+        self.left = rank4[:, :, :4].swapaxes(2, 3)
+        self.right = rank4[:, :, 7:3:-1]
 
     def hvec(self, T):
         return (T.real + T.imag).ravel()
@@ -109,17 +127,23 @@ class _Hermitian:
     def gram_congruence(self, K, out):
         """Matrix of H -> K H K^H in hvec coordinates, written into out (n^2 x n^2).
 
-        With C = K (x) conj K, C[p, i, q, j] = K_pi conj(K_qj), the entry at
-        ((p, q), (i, j)) is Re C[p, i, q, j] + Im C[p, j, q, i].  out may be a
+        With a = Re K, b = Im K and a_p their rows, the entry at ((p, q), (i, j))
+        is Re(K_pi conj K_qj) + Im(K_pj conj K_qi), so block (p, q), rows i and
+        columns j, is the rank-4 product a_p a_q^T + a_q b_p^T + b_p b_q^T -
+        b_q a_p^T of the n x 4 matrix [a_p, a_q, b_p, -b_q] and the 4 x n
+        matrix [a_q; b_p; b_q; a_p].  Two broadcast copies fill both factors
+        of every block and one batched matmul writes all blocks; out may be a
         block of a C-ordered matrix, whose (n, n, n, n) reshape is a view.
-        Two rank-2 BLAS products (dgemm, in the same OpenBLAS as the rest of
-        the solver) give the same entries, but made a solve 5-10% slower at
-        n = 32 (best of 3 solves, OpenBLAS 0.3.31, 2 cores).
+        It is the solver's only numpy matrix product, and it never wakes
+        numpy's OpenBLAS pool: each block's product, m n k = 4 n^2 <= 65536 at
+        n <= 128, is far below OpenBLAS's threading threshold (4 * 65536), so
+        it runs on the calling thread.
         """
-        n = self.n
-        C = np.multiply.outer(K, K.conj())
-        np.add(C.real.transpose(0, 2, 1, 3), C.imag.transpose(0, 2, 3, 1),
-               out=out.reshape(n, n, n, n))
+        n, rows = self.n, self.rows
+        np.multiply(K, self.phases, out=self.phased)
+        rows[..., 0, :] = self.p_rows
+        rows[..., 1, :] = self.q_rows
+        np.matmul(self.left, self.right, out=out.reshape(n, n, n, n))
         return out
 
 

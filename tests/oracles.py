@@ -7,7 +7,9 @@ entry, the reference for ``lift_matrix``.  The l1-ball projection is a
 plainer form of ``littlewood._ball_scales`` at radius 1, which must match it
 bit for bit.  ``dense_newton_solve`` assembles gamma2's whole m x m Newton
 matrix, m = 2 n^2 + 1, column by column from its definition, the reference
-for the block-eliminated solve.
+for the block-eliminated solve, and ``outer_gram_congruence`` gathers one
+congruence block from the complex tensor K (x) conj K, the reference for the
+batched rank-4 product of ``_Hermitian.gram_congruence``.
 """
 
 from __future__ import annotations
@@ -232,3 +234,14 @@ def dense_newton_solve(Ginv, rhs):
     b = np.array(rhs, dtype=float)
     b[pinned] = 0.0
     return np.linalg.solve(M, b)
+
+
+def outer_gram_congruence(K):
+    """Matrix of H -> K H K^H in gamma2's coordinates hvec H = vec(Re H + Im H).
+
+    With C = K (x) conj K, C[p, i, q, j] = K_pi conj(K_qj), the entry at
+    ((p, q), (i, j)) is Re C[p, i, q, j] + Im C[p, j, q, i].
+    """
+    n = K.shape[0]
+    C = np.multiply.outer(K, K.conj())
+    return (C.real.transpose(0, 2, 1, 3) + C.imag.transpose(0, 2, 3, 1)).reshape(n * n, n * n)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "twista"
 
 
@@ -153,12 +155,60 @@ def test_no_unbuffered_ufunc_scatter_in_the_package():
 
 def test_sdp_uses_one_blas():
     # numpy and scipy link separate OpenBLAS builds, each with a thread pool
-    # that spins after a call; the IPM stays in scipy's, which factors M
+    # that spins after a call; the IPM stays in scipy's, which factors the
+    # Schur complement.  The one exception is gram_congruence's batched
+    # n x 4 by 4 x n product, which never wakes numpy's pool (next test)
     path = SOURCE / "sdp.py"
-    found = [f"{path.name}:{node.lineno}"
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if _numpy_blas_use(node)]
+    tree = ast.parse(path.read_text(), str(path))
+    kernel, = [node for top in tree.body
+               if isinstance(top, ast.ClassDef) and top.name == "_Hermitian"
+               for node in top.body
+               if isinstance(node, ast.FunctionDef) and node.name == "gram_congruence"]
+    allowed = [node for node in ast.walk(kernel) if _numpy_blas_use(node)]
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if _numpy_blas_use(node) and not any(node is a for a in allowed)]
+    assert len(allowed) == 1 and _is_np(allowed[0], "matmul"), allowed
     assert not found, found
+
+
+_NUMPY_POOL = """
+import os
+import time
+def tasks():
+    return set(os.listdir("/proc/self/task"))
+before = tasks()
+import numpy as np
+pool = tasks() - before
+from twista import sdp
+def ticks():
+    total = 0
+    for tid in pool:
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rpartition(")")[2].split()
+        total += int(fields[11]) + int(fields[12])      # utime, stime
+    return total
+rng = np.random.default_rng(32)
+F = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+time.sleep(0.5)         # the pool spins for about 0.1 s after it starts
+start = ticks()
+sdp.gamma2(F)
+time.sleep(0.5)         # and after each threaded call
+print(len(pool), ticks() - start)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads Linux /proc")
+def test_gamma2_leaves_numpys_blas_pool_idle():
+    # the threads import numpy starts are its OpenBLAS pool; one 600 x 600
+    # numpy matmul in the solve costs them about 10 clock ticks
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_POOL],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    threads, ticks = map(int, out.stdout.split())
+    if not threads:
+        pytest.skip("numpy's OpenBLAS started no worker thread")
+    assert ticks < 2, ticks
 
 
 def _imported_roots(path):
