@@ -46,7 +46,9 @@ product, never wakes that pool (see gram_congruence).  The direct calls
 also skip scipy.linalg's validation, whose finiteness scans would read the
 whole n^2 x n^2 complement several times per iteration.  Finiteness is
 checked instead on F at entry and on each Newton direction, an m-vector:
-OpenBLAS's potrf reports success on a matrix holding a NaN.
+OpenBLAS's potrf reports success on a matrix holding a NaN.  A failed step
+(see _step) or dual bound ends the solve, unretried, on the best certified
+bracket.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class SDPSolution:
 
 
 class _Hermitian:
-    """hvec/hmat isometry between Hermitian n x n and R^{n^2}: x = vec(Re H + Im H).
+    """The coordinates hvec H = vec(Re H + Im H) of Hermitian n x n matrices in R^{n^2}.
 
     Re H is symmetric and Im H antisymmetric, so the cross term of
     |Re H + Im H|^2 sums to zero and <hvec H1, hvec H2> = Re tr(H1^H H2).
@@ -116,13 +118,6 @@ class _Hermitian:
         self.q_rows = parts.transpose(1, 3, 0, 2)[None]
         self.left = rank4[:, :, :4].swapaxes(2, 3)
         self.right = rank4[:, :, 7:3:-1]
-
-    def hvec(self, T):
-        return (T.real + T.imag).ravel()
-
-    def hmat(self, x):
-        S = x.reshape(self.n, self.n)
-        return 0.5 * ((S + S.T) + 1j * (S - S.T))
 
     def gram_congruence(self, K, out):
         """Matrix of H -> K H K^H in hvec coordinates, written into out (n^2 x n^2).
@@ -157,12 +152,12 @@ def _lapack(out):
     return out
 
 
-def cholesky(a, lower=True, overwrite_a=False):
-    """Cholesky factor of the real Schur complement, scipy's signature, no scans.
+def cholesky(a):
+    """Cholesky factor of the real Schur complement, in place in a's lower triangle.
 
-    The triangle that is not the factor keeps whatever a held there.
+    No finiteness scan; the upper triangle keeps whatever a held there.
     """
-    return _lapack(dpotrf(a, lower=lower, clean=0, overwrite_a=overwrite_a))[0]
+    return _lapack(dpotrf(a, lower=True, clean=0, overwrite_a=True))[0]
 
 
 # numpy's SVD and eigensolvers query LAPACK's optimal workspace; querying it
@@ -302,7 +297,7 @@ class _Newton:
         return self.adjoint(_hvec_congruence(dy[self.at].transpose(2, 0, 1), self.Ginv))
 
     def factor(self, Ginv):
-        """Factor the equations at the scaling Ginv; True when reg was raised.
+        """Factor the equations at the scaling Ginv.
 
         Raises LinAlgError when W11, the complement or the border matrix is
         not numerically positive definite.
@@ -318,21 +313,12 @@ class _Newton:
         K = zgemm(1.0, Ginv[:n, n:], Jh, trans_a=2)
 
         # S.T is Fortran-ordered: potrf reads S's upper triangle as its lower
-        # one and leaves the factor there, so a failed attempt assembles S again
-        retried = False
-        for attempt in range(8):
-            basis.gram_congruence(Ginv[n:, n:], S)
-            basis.gram_congruence(K, G)
-            S -= G
-            reg = 100.0 * reg if attempt else 1e-13 * max(1.0, self.schur_diag.sum() / nh)
-            self.schur_diag += reg
-            try:
-                self.L = cholesky(S.T, lower=True, overwrite_a=True)
-                break
-            except np.linalg.LinAlgError:
-                retried = True
-        else:
-            raise np.linalg.LinAlgError("the Schur complement is not positive definite")
+        # one and leaves the factor there
+        basis.gram_congruence(Ginv[n:, n:], S)
+        basis.gram_congruence(K, G)
+        S -= G
+        self.schur_diag += 1e-13 * max(1.0, self.schur_diag.sum() / nh)
+        self.L = cholesky(S.T)
         basis.gram_congruence(Jh.conj().T, G)
 
         # Z = M0^{-1} D: cong J E_ii is column ii of G, so the Y part of Z is
@@ -354,7 +340,6 @@ class _Newton:
                             side=1, lower=True, overwrite_b=True)
         self.h = _lapack(dpotrs(LH, self.ones, lower=True))[0]   # H^{-1} 1
         self.h_sum = self.h.sum()
-        return retried
 
     def _solve(self, r):
         n, nh, k, G = self.n, self.nh, r.shape[1], self.G
@@ -382,13 +367,72 @@ class _Newton:
         return dy + self._solve(rhs - self.apply(dy))
 
 
+def _step(S, Zp, newton):
+    """One predictor-corrector step: the next primal S and dual Zp.
+
+    Raises LinAlgError when LAPACK refuses a call, the Newton direction is
+    not finite or a step falls below 1e-9.
+    """
+    gap_inner = float(np.real(np.vdot(Zp, S)))
+    mu = gap_inner / len(S)
+    LS = _lapack(zpotrf(S, lower=True))[0]
+    LZ = _lapack(zpotrf(Zp, lower=True))[0]
+
+    # NT scaling: W Z W = S; we only need Ginv = W^{-1}
+    T = zgemm(1.0, LZ, LS, trans_a=2)
+    try:
+        U_, sig, Vh_ = _svd(T)
+    except np.linalg.LinAlgError:   # gesdd can fail on clustered values
+        U_, sig, Vh_ = _svd(T, driver=(zgesvd, zgesvd_lwork))
+    Rinv = _lapack(ztrtrs(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
+                          lower=True, trans=2))[0].conj().T
+    Ginv = zgemm(1.0, Rinv, Rinv, trans_a=2)
+    Ginv = 0.5 * (Ginv + Ginv.conj().T)
+    newton.factor(Ginv)
+
+    # the predictor (Rc = -S) and the centering term (Rc = Zp^{-1}) share
+    # one two-column solve; (dS, dZ) is linear in Rc, so the corrector's,
+    # at Rc = sigma_c mu Zp^{-1} - S, is the predictor's plus sigma_c mu
+    # times the other's.  The right-hand sides are adjoint(Ginv Rc Ginv),
+    # less the dual residual b - adjoint(Zp), b = e_t, for the predictor
+    Zi = _lapack(zpotrs(LZ, np.eye(len(S), dtype=complex), lower=True))[0]
+    Rc = np.stack([-S, 0.5 * (Zi + Zi.conj().T)])
+    Q = _congruence(Rc, Ginv)
+    Q[0] += Zp
+    rhs = newton.adjoint(Q.real + Q.imag)
+    rhs[-1, 0] -= 1.0
+    dy = newton.solve(rhs)
+    if not np.isfinite(dy).all():
+        raise np.linalg.LinAlgError("the Newton direction is not finite")
+    dS = newton.lift(dy)
+    dZ = _congruence(Rc - dS, Ginv)
+    dZ = 0.5 * (dZ + dZ.conj().transpose(0, 2, 1))
+
+    # predictor
+    ap = min(1.0, 0.99 * _psd_max_step(LS, dS[0]))
+    ad = min(1.0, 0.99 * _psd_max_step(LZ, dZ[0]))
+    a = min(ap, ad)
+    gap_aff = np.real(np.vdot(Zp + a * dZ[0], S + a * dS[0]))
+    sigma_c = min(max((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8), 0.999)
+
+    # corrector with adaptive centering, same factorization
+    c = sigma_c * mu
+    dS, dZ = dS[0] + c * dS[1], dZ[0] + c * dZ[1]
+    ap = min(1.0, 0.98 * _psd_max_step(LS, dS))
+    ad = min(1.0, 0.98 * _psd_max_step(LZ, dZ))
+    if min(ap, ad) < 1e-9:
+        raise np.linalg.LinAlgError(f"step {min(ap, ad):.1e} below 1e-9")
+    Zp = Zp + ad * dZ
+    return S + ap * dS, 0.5 * (Zp + Zp.conj().T)
+
+
 def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     """Compute gamma2(F) with a certified gap <= tol.
 
     The factors are the two blocks of rows of the final Gram factor, so
     F = xi eta^H and gamma2(F) <= max row norm of xi times that of eta.
-    Raises SolverFailure (carrying the partial solution) when MAX_ITER
-    iterations end before the certificate closes.
+    Raises SolverFailure (carrying the partial solution) when the gap is
+    above tol after MAX_ITER iterations or after a failed step.
     """
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -410,7 +454,6 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     # 2n diagonal coordinates of X and Y are pinned to 0, so every diagonal
     # entry of S is exactly t
     newton = _Newton(n)
-    Rc = np.empty((2, 2 * n, 2 * n), dtype=complex)
 
     c0 = float(_svd(F, compute_uv=0)[1].max()) * 1.5 + 1.0
     eye = np.eye(2 * n, dtype=complex)
@@ -423,82 +466,21 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     best_uv = (np.ones(n) / np.sqrt(n), np.ones(n) / np.sqrt(n))
     ill = False
     for it in range(1, MAX_ITER + 1):
-        gap_inner = float(np.real(np.vdot(Zp, S)))
-        mu = gap_inner / (2 * n)
-
         pobj = S[0, 0].real
-        bound, u, v = _dual_trace_bound(F, Zp)
-        # weak duality, checked on the certified pair: the primal block is
-        # exactly feasible and the trace bound is valid for any PSD iterate
-        if bound > pobj + 1e-9 * max(1.0, abs(pobj)):
-            raise CertificateError(f"weak duality violated: dual {bound} > primal {pobj}")
-        if bound > best_dual:
-            best_dual, best_uv = bound, (u, v)
-        if pobj - best_dual <= 0.5 * tol / scale:
-            break
-
         try:
-            LS = _lapack(zpotrf(S, lower=True))[0]
-            LZ = _lapack(zpotrf(Zp, lower=True))[0]
+            bound, u, v = _dual_trace_bound(F, Zp)
+            # weak duality, checked on the certified pair: the primal block is
+            # exactly feasible and the trace bound is valid for any PSD iterate
+            if bound > pobj + 1e-9 * max(1.0, abs(pobj)):
+                raise CertificateError(f"weak duality violated: dual {bound} > primal {pobj}")
+            if bound > best_dual:
+                best_dual, best_uv = bound, (u, v)
+            if pobj - best_dual <= 0.5 * tol / scale:
+                break
+            S, Zp = _step(S, Zp, newton)
         except np.linalg.LinAlgError:
             ill = True
             break
-
-        # NT scaling: W Z W = S; we only need Ginv = W^{-1}
-        T = zgemm(1.0, LZ, LS, trans_a=2)
-        try:
-            U_, sig, Vh_ = _svd(T)
-        except np.linalg.LinAlgError:   # gesdd can fail on clustered values
-            U_, sig, Vh_ = _svd(T, driver=(zgesvd, zgesvd_lwork))
-        Rinv = _lapack(ztrtrs(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
-                              lower=True, trans=2))[0].conj().T
-        Ginv = zgemm(1.0, Rinv, Rinv, trans_a=2)
-        Ginv = 0.5 * (Ginv + Ginv.conj().T)
-        try:
-            ill |= newton.factor(Ginv)
-        except np.linalg.LinAlgError:
-            ill = True
-            break
-
-        # the predictor (Rc = -S) and the centering term (Rc = Zp^{-1}) share
-        # one two-column solve; (dS, dZ) is linear in Rc, so the corrector's,
-        # at Rc = sigma_c mu Zp^{-1} - S, is the predictor's plus sigma_c mu
-        # times the other's.  The right-hand sides are adjoint(Ginv Rc Ginv),
-        # less the dual residual b - adjoint(Zp), b = e_t, for the predictor
-        Zi = _lapack(zpotrs(LZ, eye, lower=True))[0]
-        np.negative(S, out=Rc[0])
-        np.add(Zi, Zi.conj().T, out=Rc[1])
-        Rc[1] *= 0.5
-        Q = _congruence(Rc, Ginv)
-        Q[0] += Zp
-        rhs = newton.adjoint(Q.real + Q.imag)
-        rhs[-1, 0] -= 1.0
-        dy = newton.solve(rhs)
-        if not np.isfinite(dy).all():
-            ill = True
-            break
-        dS = newton.lift(dy)
-        dZ = _congruence(Rc - dS, Ginv)
-        dZ = 0.5 * (dZ + dZ.conj().transpose(0, 2, 1))
-
-        # predictor
-        ap = min(1.0, 0.99 * _psd_max_step(LS, dS[0]))
-        ad = min(1.0, 0.99 * _psd_max_step(LZ, dZ[0]))
-        a = min(ap, ad)
-        gap_aff = np.real(np.vdot(Zp + a * dZ[0], S + a * dS[0]))
-        sigma_c = min(max((max(gap_aff, 0.0) / gap_inner) ** 3, 1e-8), 0.999)
-
-        # corrector with adaptive centering, same factorization
-        c = sigma_c * mu
-        dS, dZ = dS[0] + c * dS[1], dZ[0] + c * dZ[1]
-        ap = min(1.0, 0.98 * _psd_max_step(LS, dS))
-        ad = min(1.0, 0.98 * _psd_max_step(LZ, dZ))
-        if min(ap, ad) < 1e-9:
-            ill = True
-            break
-        S = S + ap * dS
-        Zp = Zp + ad * dZ
-        Zp = 0.5 * (Zp + Zp.conj().T)
 
     value = float(S[0, 0].real) * scale
     dual_bound = best_dual * scale

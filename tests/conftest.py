@@ -71,3 +71,22 @@ def _verify_trace_duality_identity(suite_groups):
                 val = np.trace(lam[t] @ lam[s]) / n
                 expect = sigma.values[t, s] if g.mul[t, s] == 0 else 0.0
                 assert abs(val - expect) < 1e-12
+
+
+@pytest.fixture()
+def refuse_sdp_call(monkeypatch):
+    """refuse(name, at) makes call number at of sdp.<name> raise LinAlgError, as
+    a LAPACK refusal does, and returns the list the calls are counted in."""
+    from twista import sdp
+
+    def refuse(name, at):
+        real, calls = getattr(sdp, name), []
+
+        def refusing(*args):
+            calls.append(args[0].shape)
+            if len(calls) == at:
+                raise np.linalg.LinAlgError("forced")
+            return real(*args)
+        monkeypatch.setattr(sdp, name, refusing)
+        return calls
+    return refuse

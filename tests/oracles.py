@@ -2,20 +2,21 @@
 
 The cohomology oracles work on the whole table, with no generating-set
 reduction and no class-function shortcut, so agreement with the package is a
-real check.  ``regular_rep`` writes one matrix of lambda_sigma entry by
-entry, the reference for ``lift_matrix``.  The l1-ball projection is a
-plainer form of ``littlewood._ball_scales`` at radius 1, which must match it
-bit for bit.  ``dense_newton_solve`` assembles gamma2's whole m x m Newton
-matrix, m = 2 n^2 + 1, column by column from its definition, the reference
-for the block-eliminated solve, and ``outer_gram_congruence`` gathers one
-congruence block from the complex tensor K (x) conj K, the reference for the
-batched rank-4 product of ``_Hermitian.gram_congruence``.
+real check.  ``hvec`` and ``hmat`` are gamma2's coordinates of a Hermitian
+matrix and their inverse.  ``regular_rep`` writes one matrix of lambda_sigma
+entry by entry, the reference for ``lift_matrix``.  The l1-ball projection
+is a plainer form of ``littlewood._ball_scales`` at radius 1, which must
+match it bit for bit.  ``dense_newton_solve`` assembles gamma2's whole m x m
+Newton matrix, m = 2 n^2 + 1, column by column from its definition, the
+reference for the block-eliminated solve, and ``outer_gram_congruence``
+gathers one congruence block from the complex tensor K (x) conj K, the
+reference for the batched rank-4 product of ``_Hermitian.gram_congruence``.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -196,28 +197,33 @@ def project_l1_ball(r):
     return scales
 
 
+def hvec(H):
+    """gamma2's coordinates of a Hermitian matrix: vec(Re H + Im H)."""
+    return (H.real + H.imag).ravel()
+
+
+def hmat(x):
+    """The Hermitian matrix whose hvec is x."""
+    n = isqrt(x.size)
+    S = x.reshape(n, n)
+    return 0.5 * ((S + S.T) + 1j * (S - S.T))
+
+
 def dense_newton_solve(Ginv, rhs):
     """gamma2's Newton direction dy = (hvec X, hvec Y, t) from the dense matrix M.
 
-    hvec H = vec(Re H + Im H).  Column j of M is the adjoint (the hvec of
-    both diagonal blocks, then the trace) of Ginv A_j Ginv, where A_j is
-    coordinate j's block-diagonal Hermitian matrix; t's is the identity, so
-    its column is the adjoint of Ginv^2.  The 2n pinned diagonal coordinates
-    get unit rows and columns and a zero right-hand side.  rhs may hold one
-    column per system.
+    Column j of M is the adjoint (the hvec of both diagonal blocks, then the
+    trace) of Ginv A_j Ginv, where A_j is coordinate j's block-diagonal
+    Hermitian matrix; t's is the identity, so its column is the adjoint of
+    Ginv^2.  The 2n pinned diagonal coordinates get unit rows and columns and
+    a zero right-hand side.  rhs may hold one column per system.
     """
     n = Ginv.shape[0] // 2
     nh = n * n
     m = 2 * nh + 1
 
-    def hmat(x):
-        S = x.reshape(n, n)
-        return 0.5 * ((S + S.T) + 1j * (S - S.T))
-
     def adjoint(Q):
-        X, Y = Q[:n, :n], Q[n:, n:]
-        return np.concatenate([(X.real + X.imag).ravel(), (Y.real + Y.imag).ravel(),
-                               [np.trace(Q).real]])
+        return np.concatenate([hvec(Q[:n, :n]), hvec(Q[n:, n:]), [np.trace(Q).real]])
 
     M = np.empty((m, m))
     for j in range(m):

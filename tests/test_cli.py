@@ -436,6 +436,24 @@ def test_non_finite_newton_direction_exits_as_solver_failure(workdir, monkeypatc
     assert np.isfinite([doc["value"], doc["gap"]]).all()
 
 
+def test_a_failed_step_search_exits_as_solver_failure(workdir, refuse_sdp_call):
+    # a LAPACK refusal inside a step (the fifth step search, in the second
+    # iteration) writes the partial document and exits 5, like any failed solve
+    g = tw.cyclic_product([3, 3])
+    gpath, fpath = workdir / "g.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    rng = np.random.default_rng(1)
+    tw.save_function(tw.GroupFunction(g, rng.standard_normal(9) + 0j), fpath)
+    refuse_sdp_call("_psd_max_step", 5)
+    out = workdir / "partial.json"
+    code = run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "-o", out])
+    assert code == 5
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "solver_failure"
+    assert np.isfinite([doc["value"], doc["gap"]]).all()
+
+
 def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -366,6 +366,15 @@ def test_amenability_report(z3z3):
     assert [s.cb_norm for s in report.samples] == [s.cb_norm for s in again.samples]
 
 
+def test_a_failed_step_is_recorded_and_the_batch_goes_on(z3z3, refuse_sdp_call):
+    # the fifth step search is in the first sample's second iteration
+    _, sigma = z3z3
+    refuse_sdp_call("_psd_max_step", 5)
+    report = tw.amenability_report(sigma, n_samples=2, seed=3)
+    assert [s.status for s in report.samples] == ["solver_failure", "ok"]
+    assert np.isfinite([report.samples[0].cb_norm, report.samples[0].sdp_gap]).all()
+
+
 def test_amenability_closed_form_z2_delta():
     g = tw.cyclic(2)
     triv = tw.trivial_cocycle(g)

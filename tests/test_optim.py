@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twista as tw
-from oracles import dense_newton_solve, outer_gram_congruence, project_l1_ball
-from scipy.linalg import cholesky
+from oracles import dense_newton_solve, hmat, hvec, outer_gram_congruence, project_l1_ball
 
 from twista import littlewood, sdp
 from twista.errors import NotHermitian
@@ -231,10 +230,9 @@ def test_hvec_is_an_isometry_with_the_diagonal_at_basis_diag(n):
     basis = _Hermitian(n)
     A, B = _complex(rng, n), _complex(rng, n)
     H1, H2 = A + A.conj().T, B + B.conj().T
-    assert np.allclose(basis.hmat(basis.hvec(H1)), H1, rtol=0, atol=1e-14)
-    assert abs(basis.hvec(H1) @ basis.hvec(H2)
-               - np.real(np.trace(H1.conj().T @ H2))) <= 1e-12 * n * n
-    assert np.array_equal(basis.hvec(H1)[basis.diag], np.real(np.diag(H1)))
+    assert np.allclose(hmat(hvec(H1)), H1, rtol=0, atol=1e-14)
+    assert abs(hvec(H1) @ hvec(H2) - np.real(np.trace(H1.conj().T @ H2))) <= 1e-12 * n * n
+    assert np.array_equal(hvec(H1)[basis.diag], np.real(np.diag(H1)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -244,8 +242,7 @@ def test_gram_congruence_matches_its_definition(n):
     basis = _Hermitian(n)
     G = _complex(rng, n)
     for K in (G, G + G.conj().T):
-        want = np.column_stack([basis.hvec(K @ basis.hmat(e) @ K.conj().T)
-                                for e in np.eye(n * n)])
+        want = np.column_stack([hvec(K @ hmat(e) @ K.conj().T) for e in np.eye(n * n)])
         got = _gram(basis, K)
         assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(K).max() ** 2)
         # the adjoint of H -> K H K^H is H -> K^H H K, and the basis is orthonormal
@@ -404,33 +401,56 @@ def test_gamma2_schur_working_set_stays_below_two_schur_matrices():
     assert peak < 4 * n ** 4 * 8
 
 
-def test_gamma2_reassembles_the_schur_matrix_after_a_failed_factorization(monkeypatch):
-    # the failed attempt has already overwritten M with a partial factor, as
-    # LAPACK leaves it; the retry must start again from the assembled matrix
-    F = _complex(np.random.default_rng(3), 8)
-    plain = tw.gamma2(F)
-    calls = []
+def _assert_failed_on_a_bracket(exc, iterations):
+    part = exc.value.partial
+    assert part.ill_conditioned and part.iterations == iterations
+    assert np.isfinite(part.gap) and part.dual_bound <= part.value
 
-    def fail_once(a, **kwargs):
-        calls.append(a.shape)
-        if len(calls) == 4:
-            cholesky(a, **kwargs)
-            raise np.linalg.LinAlgError("forced")
-        return cholesky(a, **kwargs)
 
-    monkeypatch.setattr(sdp, "cholesky", fail_once)
-    sol = tw.gamma2(F)
-    assert len(calls) > 4 and sol.ill_conditioned and not plain.ill_conditioned
-    assert sol.gap <= 1e-6
-    assert abs(sol.value - plain.value) <= 1e-9 * plain.value
+def test_gamma2_stops_on_a_refused_schur_factorization(refuse_sdp_call):
+    # a refusal is not retried: the solve ends on the bracket it had
+    calls = refuse_sdp_call("cholesky", 4)
+    with pytest.raises(tw.SolverFailure) as exc:
+        tw.gamma2(_complex(np.random.default_rng(3), 8))
+    assert len(calls) == 4
+    _assert_failed_on_a_bracket(exc, 4)
+
+
+@pytest.mark.parametrize("vectors, at, iterations", [(1, 1, 1), (0, 3, 2)],
+                         ids=["scaling", "dual-bound"])
+def test_gamma2_stops_on_a_failed_svd(monkeypatch, vectors, at, iterations):
+    # the scaling's SVD, with vectors, falls back from gesdd to gesvd, so both
+    # drivers fail from the first call on; of the SVDs without vectors the
+    # first is the start point's and the third the second iteration's bound
+    svd, calls = sdp._svd, []
+
+    def refuse(A, compute_uv=1, **kwargs):
+        if compute_uv == vectors:
+            calls.append(A.shape)
+            if len(calls) >= at:
+                raise np.linalg.LinAlgError("forced")
+        return svd(A, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(sdp, "_svd", refuse)
+    with pytest.raises(tw.SolverFailure) as exc:
+        tw.gamma2(_complex(np.random.default_rng(3), 8))
+    _assert_failed_on_a_bracket(exc, iterations)
+
+
+def test_gamma2_stops_on_a_failed_step_search(refuse_sdp_call):
+    # four searches per iteration: the fifth is the second iteration's first
+    refuse_sdp_call("_psd_max_step", 5)
+    with pytest.raises(tw.SolverFailure) as exc:
+        tw.gamma2(_complex(np.random.default_rng(3), 8))
+    _assert_failed_on_a_bracket(exc, 2)
 
 
 def _nan_schur_factor(at_call, entry):
     """sdp.cholesky as OpenBLAS behaves on a NaN: info 0, a non-finite factor."""
     factor, calls = sdp.cholesky, []
 
-    def spoiled(a, **kwargs):
-        L = factor(a, **kwargs)
+    def spoiled(a):
+        L = factor(a)
         calls.append(a.shape)
         if len(calls) >= at_call:
             L[entry] = np.nan

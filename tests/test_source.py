@@ -253,6 +253,18 @@ def test_sdp_calls_scipy_only_through_lapack_and_blas():
     assert found == {"scipy.linalg.lapack", "scipy.linalg.blas"}, found
 
 
+def test_gamma2_stops_a_failed_step_in_one_place():
+    # every numerical failure of a step raises LinAlgError and ends the solve
+    # at one handler; a second stop path would need a second `ill = True`
+    path = SOURCE / "sdp.py"
+    sets = sorted((node.lineno, type(node).__name__, ast.unparse(node.value))
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, (ast.Assign, ast.AugAssign))
+                  for target in getattr(node, "targets", [getattr(node, "target", None)])
+                  if isinstance(target, ast.Name) and target.id == "ill")
+    assert [kind for _, *kind in sets] == [["Assign", "False"], ["Assign", "True"]], sets
+
+
 def test_the_schur_matrix_is_factored_in_place(monkeypatch):
     # the Schur complement on the Y block is n^2 x n^2; potrf gets its
     # Fortran-ordered view S.T and leaves the factor there: no copy on the
