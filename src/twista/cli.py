@@ -1,7 +1,8 @@
 """Command line interface: group/cocycle files, norm certificates, reports.
 
-Exit codes: 0 ok, 2 validation failure, 3 I/O error, 4 unsupported size,
-5 solver failure (partial certificate still written), 6 oracle gap exceeded.
+Exit codes: 0 ok, 2 validation failure, 3 I/O error, 4 unsupported size
+(out of memory included), 5 solver failure (partial certificate still
+written where one exists), 6 oracle gap exceeded.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ def cmd_norm(args) -> int:
         try:
             cert = norms.cb_multiplier_norm(phi, s1, s2, tol=args.tol)
         except SolverFailure as exc:
-            # the partial document is written here; main reports the failure
-            ms = (time.perf_counter() - t0) * 1e3
-            part = exc.partial
-            doc = {"norm": "cb-multiplier", "status": "solver_failure",
-                   "value": getattr(part, "value", None),
-                   "gap": getattr(part, "gap", None), "wall_time_ms": ms}
-            _write_json(args.output, doc)
+            # the partial certificate is written here; main reports the failure
+            if exc.partial is not None:
+                ms = (time.perf_counter() - t0) * 1e3
+                doc = norms.certificate_to_json(norms.MultiplierCertificate.of(exc.partial),
+                                                wall_time_ms=ms)
+                doc["status"] = "solver_failure"
+                _write_json(args.output, doc)
             raise
     else:
         cert = norms.littlewood_T2_norm(phi)
@@ -299,6 +300,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except UnsupportedSize as exc:
         print(f"unsupported size: {exc}", file=sys.stderr)
+        code = EXIT_UNSUPPORTED
+    except MemoryError:
+        print("unsupported size: out of memory", file=sys.stderr)
         code = EXIT_UNSUPPORTED
     except (InvalidTable, CocycleViolation, NotCyclicProduct) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

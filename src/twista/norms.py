@@ -59,6 +59,12 @@ class MultiplierCertificate:
     gap: float
     sdp: SDPSolution = field(repr=False)
 
+    @classmethod
+    def of(cls, sol: SDPSolution) -> MultiplierCertificate:
+        """The certificate a gamma2 solution states, a failed solve's partial included."""
+        return cls(value=sol.value, xi=sol.xi, eta=sol.eta, dual_bound=sol.dual_bound,
+                   gap=sol.gap, sdp=sol)
+
 
 def _dual_coefficients(values: np.ndarray, sigma: Cocycle) -> np.ndarray:
     """c_s = phi(s^-1) conj(sigma(s^-1, s)) for phi = values[..., :], over leading axes."""
@@ -124,8 +130,7 @@ def cb_multiplier_norm(phi: GroupFunction, sigma1: Cocycle, sigma2: Cocycle,
     err = float(np.abs(sol.xi @ sol.eta.conj().T - F).max())
     if err > 1e-8 * max(1.0, sol.value):
         raise CertificateError(f"factorization residual {err:.2e}", partial=sol)
-    return MultiplierCertificate(value=sol.value, xi=sol.xi, eta=sol.eta,
-                                 dual_bound=sol.dual_bound, gap=sol.gap, sdp=sol)
+    return MultiplierCertificate.of(sol)
 
 
 def multiplier_apply(phi: GroupFunction, psi: GroupFunction,

@@ -48,7 +48,7 @@ whole n^2 x n^2 complement several times per iteration.  Finiteness is
 checked instead on F at entry and on each Newton direction, an m-vector:
 OpenBLAS's potrf reports success on a matrix holding a NaN.  A failed step
 (see _step) or dual bound ends the solve, unretried, on the best certified
-bracket.
+bracket; no LAPACK call follows the loop.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class SDPSolution:
     dual_bound: float
     gap: float
     iterations: int
-    xi: np.ndarray              # F = xi eta^H: F[i, j] = <xi(i), eta(j)>
-    eta: np.ndarray
+    xi: np.ndarray              # F = xi eta^H, the first and last n rows of the lower
+    eta: np.ndarray             # Cholesky factor of gram: n x 2n, rows of norm sqrt(value)
     ill_conditioned: bool
     dual_u: np.ndarray = field(repr=False)
     dual_v: np.ndarray = field(repr=False)
@@ -169,27 +169,26 @@ def _workspace(query, *args, **kwargs):
     return query(*args, **kwargs)
 
 
-def _svd(A, compute_uv=1, driver=(zgesdd, zgesdd_lwork)):
-    routine, query = driver
-    work, _ = _workspace(query, *A.shape, compute_uv=compute_uv)
-    return _lapack(routine(A, compute_uv=compute_uv, lwork=int(work.real)))
-
-
-def _eigh(A, compute_v=1):
-    """Eigen-decomposition of a Hermitian A from its lower triangle."""
-    work, iwork, rwork, _ = _workspace(zheevd_lwork, A.shape[0], compute_v=compute_v,
-                                       lower=True)
-    return _lapack(zheevd(A, compute_v=compute_v, lower=True, lwork=int(work.real),
-                          liwork=iwork, lrwork=int(rwork)))
+def _svd(A, compute_uv=1):
+    """SVD by gesdd, or by gesvd when gesdd refuses (it can on clustered values)."""
+    work, _ = _workspace(zgesdd_lwork, *A.shape, compute_uv=compute_uv)
+    try:
+        return _lapack(zgesdd(A, compute_uv=compute_uv, lwork=int(work.real)))
+    except np.linalg.LinAlgError:
+        work, _ = _workspace(zgesvd_lwork, *A.shape, compute_uv=compute_uv)
+        return _lapack(zgesvd(A, compute_uv=compute_uv, lwork=int(work.real)))
 
 
 def _psd_max_step(L, D):
     """sup alpha with chol-factored base plus alpha * D staying PSD.
 
-    hegst forms the lower triangle of L^{-1} D L^{-H} from that of D.
+    hegst forms the lower triangle of L^{-1} D L^{-H} from that of D, and
+    heevd its eigenvalues only.
     """
-    w = _eigh(_lapack(zhegst(D, L, lower=True))[0], compute_v=0)[0]
-    lo = w.min()
+    A = _lapack(zhegst(D, L, lower=True))[0]
+    work, iwork, rwork, _ = _workspace(zheevd_lwork, len(A), compute_v=0, lower=True)
+    lo = _lapack(zheevd(A, compute_v=0, lower=True, lwork=int(work.real),
+                        liwork=iwork, lrwork=int(rwork)))[0].min()
     if lo >= -1e-14:
         return np.inf
     return -1.0 / lo
@@ -367,23 +366,19 @@ class _Newton:
         return dy + self._solve(rhs - self.apply(dy))
 
 
-def _step(S, Zp, newton):
-    """One predictor-corrector step: the next primal S and dual Zp.
+def _step(S, LS, Zp, newton):
+    """One predictor-corrector step: the next S, its lower Cholesky factor and Zp.
 
-    Raises LinAlgError when LAPACK refuses a call, the Newton direction is
-    not finite or a step falls below 1e-9.
+    Raises LinAlgError, discarding the step, when LAPACK refuses a call (the
+    new S's factorization included), the Newton direction is not finite or a
+    step falls below 1e-9.
     """
     gap_inner = float(np.real(np.vdot(Zp, S)))
     mu = gap_inner / len(S)
-    LS = _lapack(zpotrf(S, lower=True))[0]
     LZ = _lapack(zpotrf(Zp, lower=True))[0]
 
     # NT scaling: W Z W = S; we only need Ginv = W^{-1}
-    T = zgemm(1.0, LZ, LS, trans_a=2)
-    try:
-        U_, sig, Vh_ = _svd(T)
-    except np.linalg.LinAlgError:   # gesdd can fail on clustered values
-        U_, sig, Vh_ = _svd(T, driver=(zgesvd, zgesvd_lwork))
+    U_, sig, Vh_ = _svd(zgemm(1.0, LZ, LS, trans_a=2))
     Rinv = _lapack(ztrtrs(LS, (np.sqrt(sig)[:, None] * Vh_).conj().T,
                           lower=True, trans=2))[0].conj().T
     Ginv = zgemm(1.0, Rinv, Rinv, trans_a=2)
@@ -422,15 +417,16 @@ def _step(S, Zp, newton):
     ad = min(1.0, 0.98 * _psd_max_step(LZ, dZ))
     if min(ap, ad) < 1e-9:
         raise np.linalg.LinAlgError(f"step {min(ap, ad):.1e} below 1e-9")
+    S = S + ap * dS
     Zp = Zp + ad * dZ
-    return S + ap * dS, 0.5 * (Zp + Zp.conj().T)
+    return S, _lapack(zpotrf(S, lower=True))[0], 0.5 * (Zp + Zp.conj().T)
 
 
 def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     """Compute gamma2(F) with a certified gap <= tol.
 
-    The factors are the two blocks of rows of the final Gram factor, so
-    F = xi eta^H and gamma2(F) <= max row norm of xi times that of eta.
+    The factors are the two blocks of rows of the final iterate's carried
+    Cholesky factor, so F = xi eta^H and every row has norm sqrt(value).
     Raises SolverFailure (carrying the partial solution) when the gap is
     above tol after MAX_ITER iterations or after a failed step.
     """
@@ -445,9 +441,9 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
         raise ValueError("matrix entries must be finite")
     scale = float(np.abs(F).max())
     if scale == 0.0:
-        zfac = np.zeros((n, 0), dtype=complex)
-        return SDPSolution(0.0, np.zeros((2 * n, 2 * n), dtype=complex), 0.0, 0.0,
-                           0, zfac, zfac, False, np.zeros(n), np.zeros(n))
+        zero = np.zeros((2 * n, 2 * n), dtype=complex)      # the gram and its factor
+        return SDPSolution(0.0, zero, 0.0, 0.0, 0, zero[:n], zero[n:], False,
+                           np.zeros(n), np.zeros(n))
     F = F / scale
 
     # y = (hvec X, hvec Y, t) and S(y) = [[X, F], [F^H, Y]] + t I, where the
@@ -460,6 +456,7 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     S = c0 * eye
     S[:n, n:] = F
     S[n:, :n] = F.conj().T
+    LS = _lapack(zpotrf(S, lower=True))[0]     # S is positive definite: c0 > ||F||_2
     Zp = eye / (2 * n)      # diagonal with trace 1: dual feasible
 
     best_dual = 0.0
@@ -477,7 +474,7 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
                 best_dual, best_uv = bound, (u, v)
             if pobj - best_dual <= 0.5 * tol / scale:
                 break
-            S, Zp = _step(S, Zp, newton)
+            S, LS, Zp = _step(S, LS, Zp, newton)
         except np.linalg.LinAlgError:
             ill = True
             break
@@ -485,10 +482,7 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     value = float(S[0, 0].real) * scale
     dual_bound = best_dual * scale
     gap = value - dual_bound
-    w, Q = _eigh(S)
-    w = np.clip(w, 0.0, None)
-    keep = w > 1e-14 * max(w.max(), 1.0)
-    L = np.sqrt(scale) * (Q[:, keep] * np.sqrt(w[keep])[None, :])
+    L = np.sqrt(scale) * LS
     sol = SDPSolution(value=value, gram=scale * S, dual_bound=dual_bound, gap=gap,
                       iterations=it, xi=L[:n], eta=L[n:],
                       ill_conditioned=ill, dual_u=best_uv[0], dual_v=best_uv[1])

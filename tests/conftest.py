@@ -82,11 +82,11 @@ def refuse_sdp_call(monkeypatch):
     def refuse(name, at):
         real, calls = getattr(sdp, name), []
 
-        def refusing(*args):
+        def refusing(*args, **kwargs):
             calls.append(args[0].shape)
             if len(calls) == at:
                 raise np.linalg.LinAlgError("forced")
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(sdp, name, refusing)
         return calls
     return refuse

@@ -454,6 +454,47 @@ def test_a_failed_step_search_exits_as_solver_failure(workdir, refuse_sdp_call):
     assert np.isfinite([doc["value"], doc["gap"]]).all()
 
 
+def test_a_partial_certificate_can_be_rechecked(workdir, refuse_sdp_call):
+    # the partial document is the certificate of the last iterate: its
+    # witnesses factor the symbol and its dual bound stays below its value
+    g = tw.cyclic_product([3, 3])
+    gpath, fpath = workdir / "g.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    rng = np.random.default_rng(1)
+    phi = tw.GroupFunction(g, rng.standard_normal(9) + 0j)
+    tw.save_function(phi, fpath)
+    refuse_sdp_call("_psd_max_step", 5)
+    out = workdir / "partial.json"
+    assert run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "-o", out]) == 5
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "solver_failure" and doc["ill_conditioned"] is True
+    assert doc["dual_bound"] <= doc["value"]
+
+    def complex_array(d):
+        z = np.array(d["entries"])
+        return (z[:, 0] + 1j * z[:, 1]).reshape(d["shape"])
+
+    F = tw.schur_symbol(phi, tw.trivial_cocycle(g), tw.trivial_cocycle(g))
+    rec = complex_array(doc["xi"]) @ complex_array(doc["eta"]).conj().T
+    assert np.abs(rec - F).max() <= 1e-12
+
+
+def test_running_out_of_memory_exits_as_unsupported_size(workdir, monkeypatch, capsys):
+    g = tw.cyclic(4)
+    gpath, fpath = workdir / "g.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    tw.save_function(tw.GroupFunction(g, np.ones(4, dtype=complex)), fpath)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(tw.norms, "cb_multiplier_norm", exhausted)
+    assert run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath]) == 4
+    assert capsys.readouterr().err == "unsupported size: out of memory\n"
+
+
 def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -419,22 +419,35 @@ def test_gamma2_stops_on_a_refused_schur_factorization(refuse_sdp_call):
 @pytest.mark.parametrize("vectors, at, iterations", [(1, 1, 1), (0, 3, 2)],
                          ids=["scaling", "dual-bound"])
 def test_gamma2_stops_on_a_failed_svd(monkeypatch, vectors, at, iterations):
-    # the scaling's SVD, with vectors, falls back from gesdd to gesvd, so both
-    # drivers fail from the first call on; of the SVDs without vectors the
-    # first is the start point's and the third the second iteration's bound
+    # _svd falls back from gesdd to gesvd inside, so a refused _svd is both
+    # drivers refusing.  The only SVD with vectors is the scaling's; of the
+    # SVDs without vectors the first is the start point's and the third the
+    # second iteration's bound
     svd, calls = sdp._svd, []
 
-    def refuse(A, compute_uv=1, **kwargs):
+    def refuse(A, compute_uv=1):
         if compute_uv == vectors:
             calls.append(A.shape)
             if len(calls) >= at:
                 raise np.linalg.LinAlgError("forced")
-        return svd(A, compute_uv=compute_uv, **kwargs)
+        return svd(A, compute_uv=compute_uv)
 
     monkeypatch.setattr(sdp, "_svd", refuse)
     with pytest.raises(tw.SolverFailure) as exc:
         tw.gamma2(_complex(np.random.default_rng(3), 8))
     _assert_failed_on_a_bracket(exc, iterations)
+
+
+@pytest.mark.parametrize("at", [1, 2, 3], ids=["start point", "dual bound", "scaling"])
+def test_every_svd_falls_back_to_gesvd(refuse_sdp_call, at):
+    # gesdd's first three calls are the start point's, the first bound's
+    # and the first scaling's; each refusal is answered by gesvd
+    F = _complex(np.random.default_rng(3), 8)
+    value = tw.gamma2(F).value
+    calls = refuse_sdp_call("zgesdd", at)
+    sol = tw.gamma2(F)
+    assert len(calls) > at and not sol.ill_conditioned
+    assert abs(sol.value - value) <= 1e-6
 
 
 def test_gamma2_stops_on_a_failed_step_search(refuse_sdp_call):
@@ -443,6 +456,20 @@ def test_gamma2_stops_on_a_failed_step_search(refuse_sdp_call):
     with pytest.raises(tw.SolverFailure) as exc:
         tw.gamma2(_complex(np.random.default_rng(3), 8))
     _assert_failed_on_a_bracket(exc, 2)
+
+
+def test_gamma2_discards_a_step_whose_iterate_is_refused(refuse_sdp_call):
+    # zpotrf factors S0, then Zp, W11 and the new S in each step: the
+    # seventh call is the second step's new S, so the partial describes the
+    # first step's iterate and its factor
+    calls = refuse_sdp_call("zpotrf", 7)
+    with pytest.raises(tw.SolverFailure) as exc:
+        tw.gamma2(_complex(np.random.default_rng(3), 8))
+    assert len(calls) == 7
+    _assert_failed_on_a_bracket(exc, 2)
+    part = exc.value.partial
+    assert part.value == part.gram[0, 0].real
+    assert np.abs(part.xi @ part.eta.conj().T - part.gram[:8, 8:]).max() <= 1e-13
 
 
 def _nan_schur_factor(at_call, entry):
@@ -469,6 +496,33 @@ def test_gamma2_fails_typed_on_a_non_finite_schur_factor(monkeypatch, at_call, e
     assert part.ill_conditioned and part.iterations == at_call
     assert np.isfinite([part.value, part.dual_bound, part.gap]).all()
     assert np.isfinite(part.gram).all() and np.isfinite(part.xi).all()
+
+
+def _solution_or_partial(F):
+    # a row-scaled input can stop short of tol (the closure is absolute);
+    # its partial carries the same kind of witness
+    try:
+        return tw.gamma2(F)
+    except tw.SolverFailure as exc:
+        return exc.partial
+
+
+@pytest.mark.parametrize("kind, n, seed", [
+    *[pytest.param(kind, n, [n, len(kind)], id=f"{kind} n={n}")
+      for kind in ["gaussian", "rank one", "zero row", "row scaled", "sparse", "all ones"]
+      for n in (4, 12)],
+    *[pytest.param("row scaled", 4 + k % 9, [7, k], id=f"row scaled rng [7, {k}]")
+      for k in (5, 6, 12)]])
+def test_gamma2_witness_is_the_lower_cholesky_factor_of_the_gram(kind, n, seed):
+    # xi and eta are the first and last n rows of a lower triangular factor
+    # of the gram, whose diagonal entries are all the value
+    F = _t2_case(kind, n, np.random.default_rng(seed))
+    sol = _solution_or_partial(F)
+    assert sol.xi.shape == sol.eta.shape == (n, 2 * n)
+    assert np.all(sol.xi[:, n:] == 0)
+    rows = np.concatenate([np.linalg.norm(sol.xi, axis=1), np.linalg.norm(sol.eta, axis=1)])
+    assert np.abs(rows ** 2 - sol.value).max() <= 1e-12 * sol.value
+    assert np.abs(sol.xi @ sol.eta.conj().T - F).max() <= 1e-14 * np.abs(F).max()
 
 
 # --- t2 splitting ---

@@ -265,6 +265,25 @@ def test_gamma2_stops_a_failed_step_in_one_place():
     assert [kind for _, *kind in sets] == [["Assign", "False"], ["Assign", "True"]], sets
 
 
+def test_sdp_asks_lapack_for_no_eigenvectors_and_falls_back_to_gesvd_once():
+    # the certificate is the carried Cholesky factor, so no eigenvectors are
+    # needed, and _svd alone owns the gesdd -> gesvd fallback
+    path = SOURCE / "sdp.py"
+    tree = ast.parse(path.read_text(), str(path))
+    eig = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+           and isinstance(node.func, ast.Name) and node.func.id.startswith("zheevd")]
+    flags = [ast.unparse(kw.value) for node in eig for kw in node.keywords
+             if kw.arg == "compute_v"]
+    assert eig and flags == ["0"] * len(eig), flags
+    svd, = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_svd"]
+    inside = {id(node) for node in ast.walk(svd)}
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id.startswith("zgesvd")
+             and id(node) not in inside]
+    assert not found, found
+
+
 def test_the_schur_matrix_is_factored_in_place(monkeypatch):
     # the Schur complement on the Y block is n^2 x n^2; potrf gets its
     # Fortran-ordered view S.T and leaves the factor there: no copy on the
