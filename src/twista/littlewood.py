@@ -33,7 +33,8 @@ feasible set and shrunk by a rounding bound, so the computed dual bound never
 exceeds the computed value.
 psi1 and U are read from the output of a real step, never from an
 extrapolated point, so acceleration cannot make a bracket unsound.
-On group functions the norm has a closed form (``norms.littlewood_T2_norm``).
+On group functions the norm has a closed form (``norms.littlewood_T2_norm``):
+the same certificate check, ``_bracket``, at the split (f, 0) with multiplier f.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SolverFailure
 
 CHECK_EVERY = 50        # ADMM steps between certificate checks
 MAX_ITER = 40000        # ADMM step budget
@@ -63,18 +62,17 @@ class T2Split:
     budget_exhausted: bool = False
 
 
+def _l2(M, axis: int) -> np.ndarray:
+    """The l2 norms of M's rows (axis 1) or columns (axis 0)."""
+    return np.sqrt((np.abs(M) ** 2).sum(axis=axis))
+
+
 def max_row_l2(M) -> float:
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0.0
-    return float(np.sqrt((np.abs(M) ** 2).sum(axis=1)).max())
+    return float(_l2(M, 1).max(initial=0.0))
 
 
 def max_col_l2(M) -> float:
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0.0
-    return float(np.sqrt((np.abs(M) ** 2).sum(axis=0)).max())
+    return float(_l2(M, 0).max(initial=0.0))
 
 
 def _ball_scales(r: np.ndarray, radius: float):
@@ -102,17 +100,27 @@ def rounding_shrink(k: int) -> float:
 
 
 def _dual_feasible(C: np.ndarray) -> np.ndarray:
-    """C rescaled into the dual feasible set and shrunk by gamma_k.
+    """The dual witness c of a multiplier C: C over the larger of its row and
+    column norm sums, shrunk by gamma_k; an all-zero C is returned as it is.
 
     For m x n C the norm sums and entries of c take m + n + 3 roundings, the
-    pairing with P (t2 ignores phases, so |c| and |P| bound it) N + 3 with
-    N = mn, a split's value max(m, n) + 4 and the rescaling 2, so
-    k = N + 2(m + n) + 16 keeps the computed dual bound at most the value.
+    pairing with P (t2 ignores phases, so |c| and |P| bound it), as m row
+    sums and then their total, m + n + 3, a split's value max(m, n) + 4 and
+    the rescaling 2, so k = 3(m + n) + 16 keeps the computed dual bound at
+    most the value.
     """
-    denom = max(1.0,
-                float(np.sqrt((np.abs(C) ** 2).sum(axis=1)).sum()),
-                float(np.sqrt((np.abs(C) ** 2).sum(axis=0)).sum()))
-    return C * (rounding_shrink(C.size + 2 * sum(C.shape) + 16) / denom)
+    denom = max(float(_l2(C, 1).sum()), float(_l2(C, 0).sum()))
+    if not denom:
+        return C
+    return C * (rounding_shrink(3 * sum(C.shape) + 16) / denom)
+
+
+def _bracket(P: np.ndarray, psi1: np.ndarray, C: np.ndarray):
+    """The value of the split (psi1, P - psi1) and the dual bound |sum conj(c) P|
+    of the witness c of the multiplier C."""
+    c = _dual_feasible(C)
+    return (max_row_l2(psi1) + max_col_l2(P - psi1),
+            float(abs((c.conj() * P).sum(axis=1).sum())))
 
 
 def _admm_step(P: np.ndarray, Z: np.ndarray, rho: float):
@@ -121,11 +129,11 @@ def _admm_step(P: np.ndarray, Z: np.ndarray, rho: float):
     # the prox of maxrow_l2 / rho at V is V minus the projection of V onto
     # the dual ball of radius 1 / rho (Moreau), and likewise for columns
     V = P - psi2 - U
-    s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=1)), 1.0 / rho)
+    s = _ball_scales(_l2(V, 1), 1.0 / rho)
     psi1 = np.zeros_like(V) if s is None else V - V * s[:, None]
     h = ALPHA * psi1 + (1 - ALPHA) * (P - psi2)
     V = P - h - U
-    s = _ball_scales(np.sqrt((np.abs(V) ** 2).sum(axis=0)), 1.0 / rho)
+    s = _ball_scales(_l2(V, 0), 1.0 / rho)
     psi2 = np.zeros_like(V) if s is None else V - V * s[None, :]
     return np.stack([psi2, U + h + psi2 - P]), psi1
 
@@ -136,7 +144,7 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
     if psi.ndim != 2:
         raise ValueError("t2_split expects a matrix")
     if not np.isfinite(psi).all():
-        raise SolverFailure("matrix entries must be finite")
+        raise ValueError("matrix entries must be finite")
     scale = float(np.abs(psi).max()) if psi.size else 0.0
     if scale == 0.0:
         z = np.zeros_like(psi)
@@ -172,11 +180,11 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
             # the extrapolation failed the safeguard: fall back to T(z)
             stored, last = 0, None
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
-            cand = max_row_l2(psi1) + max_col_l2(P - psi1)
+            # the multiplier is rho * U; its negative, rescaled, is dual feasible
+            cand, dual = _bracket(P, psi1, -rho * TX[1])
             if cand < best_value:
                 best_value, best_psi1 = cand, psi1
-            # the multiplier is rho * U; its negative, rescaled, is dual feasible
-            best_dual = max(best_dual, abs(np.vdot(_dual_feasible(-rho * TX[1]), P)))
+            best_dual = max(best_dual, dual)
             if best_value - best_dual <= 0.5 * tol / scale:
                 break
             # residual balancing on the halves of f, the changes of psi2 and

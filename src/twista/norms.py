@@ -29,7 +29,7 @@ from .algebra import (GroupFunction, TwistedOperator, lift_matrix,
 from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocycle
 from .errors import CertificateError, SolverFailure
 from .groups import same_group
-from .littlewood import T2Split, max_row_l2, rounding_shrink, t2_split
+from .littlewood import T2Split, _bracket, t2_split
 
 
 def __getattr__(name):
@@ -144,36 +144,18 @@ def littlewood_norm(psi, tol: float = 1e-5) -> T2Split:
     return t2_split(psi, tol=tol)
 
 
-def _t2_dual_witness(f: np.ndarray, value: float) -> np.ndarray:
-    """c = conj(f) / (n value), shrunk by the rounding bound gamma_k of its use.
-
-    ``rounding_shrink`` gives 1 - gamma_k.  The computed value, a root of a
-    sum of n squares, is within gamma_(n+3) of ||phi||_2 and enters the
-    pairing squared; the scale 1 / (n value) and the entries of c add 3
-    roundings, and the pairing sum(c * f), as n row sums and then their
-    total, adds 2n + 1.
-    So k = 4n + 16 keeps the computed pairing at most value, and the row
-    and column norm sums of c at most 1 even when computed in floating point.
-    """
-    n = f.shape[0]
-    if not value:
-        return np.zeros_like(f)
-    return f.conj() * (rounding_shrink(4 * n + 16) / (n * value))
-
-
 def littlewood_T2_norm(phi: GroupFunction) -> T2Split:
     """T2 norm of phi, the t2 norm of f[s, t] = phi(st), in closed form.
 
     Every row and every column of f is a permutation of phi, so the split
-    (f, 0) costs ||phi||_2, and c = conj(f) / (n ||phi||_2) has row and
-    column norm sums 1 and pairs with f to ||phi||_2: the split is optimal
-    and c certifies it.  c is shrunk by a rounding bound, so the computed
-    dual bound never exceeds the value.
+    (f, 0) costs ||phi||_2, and the witness c = f / (n ||phi||_2) of the
+    multiplier f has row and column norm sums 1 and pairs with f to
+    sum conj(c) f = ||phi||_2: the split is optimal and c certifies it.
+    Both ends come from the ADMM's own certificate check at (f, 0), whose
+    rounding shrink keeps the computed dual bound at most the value.
     """
     f = phi.values[phi.group.mul]
-    value = max_row_l2(f)
-    c = _t2_dual_witness(f, value)
-    dual = float(abs(np.sum(c * f, axis=1).sum()))
+    value, dual = _bracket(f, f, f)
     return T2Split(value=value, psi1=f, psi2=np.zeros_like(f), dual_bound=dual,
                    gap=value - dual, iterations=0)
 

@@ -428,7 +428,10 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     The factors are the two blocks of rows of the final iterate's carried
     Cholesky factor, so F = xi eta^H and every row has norm sqrt(value).
     Raises SolverFailure (carrying the partial solution) when the gap is
-    above tol after MAX_ITER iterations or after a failed step.
+    above tol after MAX_ITER iterations or after a failed step, and its
+    subclass CertificateError (carrying the last iterate's partial) when a
+    dual bound exceeds the value.  A start point LAPACK refuses raises
+    SolverFailure without a partial: there is no iterate.
     """
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -451,17 +454,21 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     # entry of S is exactly t
     newton = _Newton(n)
 
-    c0 = float(_svd(F, compute_uv=0)[1].max()) * 1.5 + 1.0
     eye = np.eye(2 * n, dtype=complex)
-    S = c0 * eye
-    S[:n, n:] = F
-    S[n:, :n] = F.conj().T
-    LS = _lapack(zpotrf(S, lower=True))[0]     # S is positive definite: c0 > ||F||_2
+    try:
+        c0 = float(_svd(F, compute_uv=0)[1].max()) * 1.5 + 1.0
+        S = c0 * eye
+        S[:n, n:] = F
+        S[n:, :n] = F.conj().T
+        LS = _lapack(zpotrf(S, lower=True))[0]     # S is positive definite: c0 > ||F||_2
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"gamma2 could not start: {exc}") from exc
     Zp = eye / (2 * n)      # diagonal with trace 1: dual feasible
 
     best_dual = 0.0
     best_uv = (np.ones(n) / np.sqrt(n), np.ones(n) / np.sqrt(n))
     ill = False
+    violation = None
     for it in range(1, MAX_ITER + 1):
         pobj = S[0, 0].real
         try:
@@ -469,7 +476,8 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
             # weak duality, checked on the certified pair: the primal block is
             # exactly feasible and the trace bound is valid for any PSD iterate
             if bound > pobj + 1e-9 * max(1.0, abs(pobj)):
-                raise CertificateError(f"weak duality violated: dual {bound} > primal {pobj}")
+                violation = f"weak duality violated: dual {bound} > primal {pobj}"
+                break
             if bound > best_dual:
                 best_dual, best_uv = bound, (u, v)
             if pobj - best_dual <= 0.5 * tol / scale:
@@ -486,6 +494,8 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     sol = SDPSolution(value=value, gram=scale * S, dual_bound=dual_bound, gap=gap,
                       iterations=it, xi=L[:n], eta=L[n:],
                       ill_conditioned=ill, dual_u=best_uv[0], dual_v=best_uv[1])
+    if violation:
+        raise CertificateError(violation, partial=sol)
     if not gap <= tol:          # a NaN gap fails too
         raise SolverFailure(
             f"gamma2 reached gap {gap:.3e} > tol {tol:.1e} "

@@ -90,3 +90,20 @@ def refuse_sdp_call(monkeypatch):
         monkeypatch.setattr(sdp, name, refusing)
         return calls
     return refuse
+
+
+@pytest.fixture()
+def inflate_dual_bound(monkeypatch):
+    """inflate(at) makes call number at of sdp._dual_trace_bound return ten
+    times its bound, above the value, as a faulty bound would."""
+    from twista import sdp
+
+    def inflate(at):
+        real, calls = sdp._dual_trace_bound, []
+
+        def inflated(F, Zp):
+            calls.append(F.shape)
+            bound, u, v = real(F, Zp)
+            return (10 * bound if len(calls) == at else bound), u, v
+        monkeypatch.setattr(sdp, "_dual_trace_bound", inflated)
+    return inflate

@@ -454,6 +454,36 @@ def test_a_failed_step_search_exits_as_solver_failure(workdir, refuse_sdp_call):
     assert np.isfinite([doc["value"], doc["gap"]]).all()
 
 
+def test_a_weak_duality_failure_writes_the_partial_document(workdir, inflate_dual_bound):
+    g = tw.cyclic_product([3, 3])
+    gpath, fpath = workdir / "g.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    tw.save_function(tw.GroupFunction(g, np.random.default_rng(1).standard_normal(9) + 0j),
+                     fpath)
+    inflate_dual_bound(2)
+    out = workdir / "partial.json"
+    assert run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "-o", out]) == 5
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "solver_failure" and doc["iterations"] == 2
+    assert doc["dual_bound"] <= doc["value"]
+
+
+@pytest.mark.parametrize("name", ["zpotrf", "_svd"])
+def test_a_refused_start_point_exits_as_solver_failure(workdir, refuse_sdp_call, name):
+    # with no iterate there is no partial document to write
+    g = tw.cyclic_product([3, 3])
+    gpath, fpath = workdir / "g.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    tw.save_function(tw.GroupFunction(g, np.random.default_rng(1).standard_normal(9) + 0j),
+                     fpath)
+    refuse_sdp_call(name, 1)
+    out = workdir / "partial.json"
+    assert run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "-o", out]) == 5
+    assert not out.exists()
+
+
 def test_a_partial_certificate_can_be_rechecked(workdir, refuse_sdp_call):
     # the partial document is the certificate of the last iterate: its
     # witnesses factor the symbol and its dual bound stays below its value

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import twista as tw
-from twista import norms
+from twista import littlewood, norms
 
 
 def rand_fn(group, rng):
@@ -291,20 +291,22 @@ def test_littlewood_closed_form_matches_the_admm(name):
 
 @pytest.mark.parametrize("name", ["Z3xZ3", "S4", "Z4xZ4", "D4", "S5"])
 def test_littlewood_closed_form_gap_is_never_negative(name):
-    # without the rounding allowance in c, 183 of these 1000 functions gave a
-    # dual bound one rounding above the value
+    # without the rounding allowance in c, 183 of these 1000 functions (at
+    # scale 1) gave a dual bound one rounding above the value
     g = {"Z3xZ3": tw.cyclic_product([3, 3]), "S4": tw.symmetric(4),
          "Z4xZ4": tw.cyclic_product([4, 4]), "D4": tw.dihedral(4),
          "S5": tw.symmetric(5)}[name]
     for seed in range(200):
-        phi = rand_fn(g, np.random.default_rng(seed))
-        cert = tw.littlewood_T2_norm(phi)
-        assert 0.0 <= cert.gap <= 1e-12 * cert.value, seed
-        f = phi.values[g.mul]
-        c = norms._t2_dual_witness(f, cert.value)
-        assert np.linalg.norm(c, axis=1).sum() <= 1.0, seed
-        assert np.linalg.norm(c, axis=0).sum() <= 1.0, seed
-        assert abs(np.sum(c * f)) <= cert.value, seed
+        values = rand_fn(g, np.random.default_rng(seed)).values
+        for scale in (1.0, 1e-8, 1e4):
+            phi = tw.GroupFunction(g, scale * values)
+            cert = tw.littlewood_T2_norm(phi)
+            assert 0.0 <= cert.gap <= 1e-12 * cert.value, (seed, scale)
+            f = phi.values[g.mul]
+            c = littlewood._dual_feasible(f)
+            assert np.linalg.norm(c, axis=1).sum() <= 1.0, (seed, scale)
+            assert np.linalg.norm(c, axis=0).sum() <= 1.0, (seed, scale)
+            assert abs(np.vdot(c, f)) <= cert.value, (seed, scale)
 
 
 def test_fs_norm_sandwiched_by_sup_and_l1(z3z3):
@@ -370,6 +372,16 @@ def test_a_failed_step_is_recorded_and_the_batch_goes_on(z3z3, refuse_sdp_call):
     # the fifth step search is in the first sample's second iteration
     _, sigma = z3z3
     refuse_sdp_call("_psd_max_step", 5)
+    report = tw.amenability_report(sigma, n_samples=2, seed=3)
+    assert [s.status for s in report.samples] == ["solver_failure", "ok"]
+    assert np.isfinite([report.samples[0].cb_norm, report.samples[0].sdp_gap]).all()
+
+
+def test_a_weak_duality_failure_is_recorded_with_its_bracket(z3z3, inflate_dual_bound):
+    # the first sample's second bound, inflated above the value, stops its
+    # solve; the sample keeps the bracket of the iterate it stood on
+    _, sigma = z3z3
+    inflate_dual_bound(2)
     report = tw.amenability_report(sigma, n_samples=2, seed=3)
     assert [s.status for s in report.samples] == ["solver_failure", "ok"]
     assert np.isfinite([report.samples[0].cb_norm, report.samples[0].sdp_gap]).all()

@@ -472,6 +472,31 @@ def test_gamma2_discards_a_step_whose_iterate_is_refused(refuse_sdp_call):
     assert np.abs(part.xi @ part.eta.conj().T - part.gram[:8, 8:]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("name", ["zpotrf", "_svd"])
+def test_gamma2_fails_typed_when_the_start_point_is_refused(refuse_sdp_call, name):
+    # the first SVD and the first factorization are the start point's; no
+    # iterate exists yet, so the failure carries no partial
+    refuse_sdp_call(name, 1)
+    with pytest.raises(tw.SolverFailure, match="could not start") as exc:
+        tw.gamma2(_complex(np.random.default_rng(3), 8))
+    assert exc.value.partial is None
+
+
+def test_gamma2_keeps_the_bracket_when_weak_duality_fails(inflate_dual_bound):
+    # the second bound, inflated tenfold, lies above the value: the solve
+    # stops there, and its partial is the iterate it stood on
+    g = tw.cyclic_product([3, 3])
+    phi = tw.GroupFunction(g, np.random.default_rng(1).standard_normal(9) + 0j)
+    F = tw.schur_symbol(phi, tw.trivial_cocycle(g), tw.bilinear_cocycle(g, [[0, 1], [0, 0]]))
+    inflate_dual_bound(2)
+    with pytest.raises(tw.CertificateError, match="weak duality") as exc:
+        tw.gamma2(F)
+    part = exc.value.partial
+    assert part.iterations == 2 and not part.ill_conditioned
+    assert part.dual_bound <= part.value
+    assert np.abs(part.xi @ part.eta.conj().T - F).max() <= 1e-12
+
+
 def _nan_schur_factor(at_call, entry):
     """sdp.cholesky as OpenBLAS behaves on a NaN: info 0, a non-finite factor."""
     factor, calls = sdp.cholesky, []
@@ -535,6 +560,24 @@ def test_t2_zero_and_single_entry():
     sol = tw.t2_split(E11, tol=1e-6)
     assert abs(sol.value - 1.0) <= 1e-6
     assert abs(sol.dual_bound - 1.0) <= 1e-6
+
+
+def test_t2_split_refuses_non_finite_entries():
+    # bad input, as for gamma2, not a solver failure
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tw.t2_split(np.array([[1.0, bad]]))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (12, 12), (3, 7)], ids=["5", "12", "3x7"])
+def test_the_t2_witness_does_not_depend_on_the_multipliers_scale(shape):
+    # C goes to the boundary of the dual feasible set whatever its size, so
+    # a power-of-two scale cancels exactly
+    C = _complex(np.random.default_rng(list(shape)), *shape)
+    c = littlewood._dual_feasible(C)
+    assert np.array_equal(littlewood._dual_feasible(2.0 ** -30 * C), c)
+    sums = np.linalg.norm(c, axis=1).sum(), np.linalg.norm(c, axis=0).sum()
+    assert abs(max(sums) - 1.0) <= 1e-12
 
 
 def test_t2_all_ones_2x2_with_grid_oracle():

@@ -265,6 +265,23 @@ def test_gamma2_stops_a_failed_step_in_one_place():
     assert [kind for _, *kind in sets] == [["Assign", "False"], ["Assign", "True"]], sets
 
 
+def test_rounding_shrink_is_applied_only_by_the_two_witness_rules():
+    # each lower bound has one rounding proof: the T2 witness of a multiplier
+    # and the gamma2 trace bound; another caller would be a second witness rule
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        # walk visits outer functions first, so the innermost one is kept
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        found |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "rounding_shrink" in
+                  (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert found == {"littlewood._dual_feasible", "sdp._dual_trace_bound"}, found
+
+
 def test_sdp_asks_lapack_for_no_eigenvectors_and_falls_back_to_gesvd_once():
     # the certificate is the carried Cholesky factor, so no eigenvectors are
     # needed, and _svd alone owns the gesdd -> gesvd fallback
