@@ -267,9 +267,13 @@ def center_dimension(sigma: Cocycle) -> int:
     return len(np.unique(class_of[regular]))
 
 
+def complex_entries(a) -> list:
+    """The entries of a, flattened in C order, as [re, im] float pairs."""
+    return np.asarray(a, complex).reshape(-1, 1).view(float).tolist()
+
+
 def function_to_json(f: GroupFunction) -> dict:
-    return {"values": [[float(z.real), float(z.imag)] for z in f.values],
-            "group": grp.group_to_json(f.group)}
+    return {"values": complex_entries(f.values), "group": grp.group_to_json(f.group)}
 
 
 def function_from_json(doc: dict, group: Optional[FiniteGroup] = None,

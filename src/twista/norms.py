@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .algebra import (GroupFunction, TwistedOperator, lift_matrix,
+from .algebra import (GroupFunction, TwistedOperator, complex_entries, lift_matrix,
                       operator_coefficients)
 from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocycle
 from .errors import CertificateError, SolverFailure
@@ -259,42 +258,36 @@ def amenability_report(sigma: Cocycle, n_samples: int, seed: int,
                              inclusion_violations=violations)
 
 
-def certificate_to_json(cert, wall_time_ms: Optional[float] = None) -> dict:
-    """JSON form of any of the three certificates, witnesses included."""
-    def carr(a):
-        return np.asarray(a, complex).reshape(-1, 1).view(float).tolist(), list(np.shape(a))
+def certificate_to_json(cert) -> dict:
+    """JSON form of any of the three certificates, witnesses included.
+
+    An array is written as {"shape", "entries"} with [re, im] entries.  The
+    Fourier-Stieltjes dual element Y = sum c_s lambda_sigma(s) is written as
+    its n coefficients c_s; lift_matrix(c, sigma) gives its matrix back.
+    """
+    def array(a):
+        return {"shape": list(np.shape(a)), "entries": complex_entries(a)}
 
     if isinstance(cert, FourierStieltjesCertificate):
-        flat, shape = carr(cert.dual_element.matrix)
-        doc = {"norm": "fourier-stieltjes", "label": "A=B (finite group)",
-               "value": cert.value, "method": "trace-duality",
-               "singular_values": [float(s) for s in cert.singular_values],
-               "pairing_check": cert.pairing_check,
-               "dual_element": {"shape": shape, "entries": flat}}
-    elif isinstance(cert, MultiplierCertificate):
-        xi_flat, xi_shape = carr(cert.xi)
-        eta_flat, eta_shape = carr(cert.eta)
+        return {"norm": "fourier-stieltjes", "label": "A=B (finite group)",
+                "value": cert.value, "method": "trace-duality",
+                "singular_values": cert.singular_values.tolist(),
+                "pairing_check": cert.pairing_check,
+                "dual_element": array(cert.dual_element.coeffs)}
+    if isinstance(cert, MultiplierCertificate):
         sol = cert.sdp
         # dual_bound is the trace norm of diag(dual_u) xi eta^H diag(dual_v)
-        doc = {"norm": "cb-multiplier", "value": cert.value,
-               "dual_bound": cert.dual_bound, "gap": cert.gap,
-               "iterations": sol.iterations,
-               "ill_conditioned": sol.ill_conditioned,
-               "dual_u": sol.dual_u.tolist(),
-               "dual_v": sol.dual_v.tolist(),
-               "xi": {"shape": xi_shape, "entries": xi_flat},
-               "eta": {"shape": eta_shape, "entries": eta_flat}}
-    elif isinstance(cert, T2Split):
-        p1, s1 = carr(cert.psi1)
-        p2, s2 = carr(cert.psi2)
-        doc = {"norm": "littlewood-t2", "value": cert.value,
-               "dual_bound": cert.dual_bound, "gap": cert.gap,
-               "iterations": cert.iterations,
-               "budget_exhausted": cert.budget_exhausted,
-               "psi1": {"shape": s1, "entries": p1},
-               "psi2": {"shape": s2, "entries": p2}}
-    else:
-        raise TypeError(f"unknown certificate type {type(cert)!r}")
-    if wall_time_ms is not None:
-        doc["wall_time_ms"] = wall_time_ms
-    return doc
+        return {"norm": "cb-multiplier", "value": cert.value,
+                "dual_bound": cert.dual_bound, "gap": cert.gap,
+                "iterations": sol.iterations,
+                "ill_conditioned": sol.ill_conditioned,
+                "dual_u": sol.dual_u.tolist(),
+                "dual_v": sol.dual_v.tolist(),
+                "xi": array(cert.xi), "eta": array(cert.eta)}
+    if isinstance(cert, T2Split):
+        return {"norm": "littlewood-t2", "value": cert.value,
+                "dual_bound": cert.dual_bound, "gap": cert.gap,
+                "iterations": cert.iterations,
+                "budget_exhausted": cert.budget_exhausted,
+                "psi1": array(cert.psi1), "psi2": array(cert.psi2)}
+    raise TypeError(f"unknown certificate type {type(cert)!r}")

@@ -442,7 +442,7 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     F = np.ascontiguousarray(F, dtype=complex)
     if not np.isfinite(F).all():
         raise ValueError("matrix entries must be finite")
-    scale = float(np.abs(F).max())
+    scale = float(np.abs(F).max()) if F.size else 0.0
     if scale == 0.0:
         zero = np.zeros((2 * n, 2 * n), dtype=complex)      # the gram and its factor
         return SDPSolution(0.0, zero, 0.0, 0.0, 0, zero[:n], zero[n:], False,
@@ -476,7 +476,8 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
             # weak duality, checked on the certified pair: the primal block is
             # exactly feasible and the trace bound is valid for any PSD iterate
             if bound > pobj + 1e-9 * max(1.0, abs(pobj)):
-                violation = f"weak duality violated: dual {bound} > primal {pobj}"
+                violation = (f"weak duality violated: dual {bound * scale} "
+                             f"> primal {pobj * scale}")
                 break
             if bound > best_dual:
                 best_dual, best_uv = bound, (u, v)

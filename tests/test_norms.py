@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import twista as tw
-from twista import littlewood, norms
+from twista import algebra, littlewood, norms
 
 
 def rand_fn(group, rng):
@@ -148,6 +148,25 @@ def test_certificate_json_entries_match_the_per_entry_form(kind):
     per_entry = [[float(w.real), float(w.imag)] for w in np.asarray(a).reshape(-1)]
     assert doc["psi1"] == {"shape": list(a.shape), "entries": per_entry}
     assert json.dumps(doc["psi1"]["entries"]) == json.dumps(per_entry)
+    # function files use the same encoder, so they keep their bytes, signed zeros included
+    if a.size:
+        f = tw.GroupFunction(tw.cyclic(a.size), a.reshape(-1))
+        assert json.dumps(algebra.function_to_json(f)["values"]) == json.dumps(per_entry)
+
+
+def test_fourier_stieltjes_json_writes_the_dual_element_as_coefficients():
+    g = tw.symmetric(4)
+    rng = np.random.default_rng(6)
+    sigma, _ = tw.random_coboundary_twist(tw.trivial_cocycle(g, 4), 4, rng)
+    cert = tw.fourier_stieltjes_norm(rand_fn(g, rng), sigma)
+    doc = json.loads(json.dumps(norms.certificate_to_json(cert)))
+    Y = doc["dual_element"]
+    assert Y["shape"] == [g.order] and len(Y["entries"]) == g.order
+    c = np.array([complex(re, im) for re, im in Y["entries"]])
+    assert np.array_equal(tw.lift_matrix(c, sigma), cert.dual_element.matrix)
+    assert doc["value"] == cert.value and doc["pairing_check"] == cert.pairing_check
+    assert doc["singular_values"] == list(cert.singular_values)
+    assert "wall_time_ms" not in doc
 
 
 def test_cb_norm_z2_closed_form():

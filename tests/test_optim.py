@@ -1,6 +1,6 @@
 """Solvers: dense linear algebra helpers, the gamma2 SDP, the t2 splitting."""
 
-
+import re
 import tracemalloc
 
 import numpy as np
@@ -76,8 +76,11 @@ def test_gamma2_hadamard_bracketed():
 
 
 def test_gamma2_zero_matrix():
-    sol = tw.gamma2(np.zeros((3, 3)))
-    assert sol.value == 0.0 and sol.gap == 0.0
+    # the empty matrix gets the zero solution, as t2_split does for empty input
+    for n in (3, 0):
+        sol = tw.gamma2(np.zeros((n, n)))
+        assert sol.value == 0.0 and sol.gap == 0.0 and sol.dual_bound == 0.0
+        assert sol.xi.shape == (n, 2 * n) == sol.eta.shape
 
 
 def test_gamma2_factorization_convention():
@@ -495,6 +498,10 @@ def test_gamma2_keeps_the_bracket_when_weak_duality_fails(inflate_dual_bound):
     assert part.iterations == 2 and not part.ill_conditioned
     assert part.dual_bound <= part.value
     assert np.abs(part.xi @ part.eta.conj().T - F).max() <= 1e-12
+    # the message states both bounds in the caller's units, as the partial does
+    dual, primal = re.fullmatch(r"weak duality violated: dual (\S+) > primal (\S+)",
+                                str(exc.value)).groups()
+    assert float(primal) == part.value and float(dual) > part.value
 
 
 def _nan_schur_factor(at_call, entry):

@@ -282,6 +282,34 @@ def test_rounding_shrink_is_applied_only_by_the_two_witness_rules():
     assert found == {"littlewood._dual_feasible", "sdp._dual_trace_bound"}, found
 
 
+def _encodes_complex_pairs(node) -> bool:
+    # `<array>.view(float).tolist()`, or a comprehension over float(z.real)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "tolist":
+        inner = node.func.value
+        return (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "view")
+    return isinstance(node, (ast.ListComp, ast.GeneratorExp)) and any(
+        isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "float"
+        and len(sub.args) == 1 and isinstance(sub.args[0], ast.Attribute)
+        and sub.args[0].attr == "real" for sub in ast.walk(node.elt))
+
+
+def test_complex_arrays_are_encoded_only_by_complex_entries():
+    # every [re, im] pair the package writes comes from one encoder, so a
+    # function file and a certificate write a value with the same bytes
+    inside, found = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for top in tree.body
+                   if path.name == "algebra.py" and isinstance(top, ast.FunctionDef)
+                   and top.name == "complex_entries" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if _encodes_complex_pairs(node):
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and not found, (inside, found)
+
+
 def test_sdp_asks_lapack_for_no_eigenvectors_and_falls_back_to_gesvd_once():
     # the certificate is the carried Cholesky factor, so no eigenvectors are
     # needed, and _svd alone owns the gesdd -> gesvd fallback
