@@ -120,7 +120,7 @@ def cmd_norm(args) -> int:
     group = groups.load_group(args.group) if args.group else None
     phi = algebra.load_function(args.phi, group)
     group = phi.group
-    t0 = time.perf_counter()
+    t0, failure = time.perf_counter(), None
     if args.kind == "fourier":
         sigma = _load_cocycle_arg(args.sigma, group)
         cert = norms.fourier_stieltjes_norm(phi, sigma)
@@ -130,25 +130,26 @@ def cmd_norm(args) -> int:
         try:
             cert = norms.cb_multiplier_norm(phi, s1, s2, tol=args.tol)
         except SolverFailure as exc:
-            # the partial certificate is written here; main reports the failure
-            if exc.partial is not None:
-                ms = (time.perf_counter() - t0) * 1e3
-                doc = norms.certificate_to_json(norms.MultiplierCertificate.of(exc.partial))
-                doc["wall_time_ms"] = ms
-                doc["status"] = "solver_failure"
-                _write_json(args.output, doc)
-            raise
+            if exc.partial is None:
+                raise
+            cert, failure = norms.MultiplierCertificate.of(exc.partial), exc
     else:
         cert = norms.littlewood_T2_norm(phi)
     ms = (time.perf_counter() - t0) * 1e3
     doc = norms.certificate_to_json(cert)
     doc["wall_time_ms"] = ms
+    if failure:
+        doc["status"] = "solver_failure"
     _write_json(args.output, doc)
+    if failure:
+        raise failure
     print(f"value = {cert.value:.12g}")
     return EXIT_OK
 
 
 def cmd_report_amenability(args) -> int:
+    if not args.threshold >= 0:
+        raise ValueError(f"the threshold must be nonnegative, got {args.threshold}")
     sigma = _load_cocycle_arg(args.sigma, groups.load_group(args.group))
     report = norms.amenability_report(sigma, n_samples=args.samples,
                                       seed=args.seed, tol=args.tol)

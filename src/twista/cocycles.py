@@ -161,6 +161,8 @@ def bilinear_cocycle(group: FiniteGroup, A, m: Optional[int] = None) -> Cocycle:
         B = A * np.outer(L // q, L // q)
     else:
         m = int(m)
+        if m < 1:
+            raise CocycleViolation("root order must be positive")
         B = A
         bad = np.argwhere((A * q[:, None]) % m | (A * q[None, :]) % m)
         if bad.size:

@@ -33,8 +33,6 @@ feasible set and shrunk by a rounding bound, so the computed dual bound never
 exceeds the computed value.
 psi1 and U are read from the output of a real step, never from an
 extrapolated point, so acceleration cannot make a bracket unsound.
-On group functions the norm has a closed form (``norms.littlewood_T2_norm``):
-the same certificate check, ``_bracket``, at the split (f, 0) with multiplier f.
 """
 
 from __future__ import annotations
@@ -53,6 +51,9 @@ MEMORY = 5              # Anderson memory: differences kept for extrapolation
 
 @dataclass(frozen=True, eq=False)
 class T2Split:
+    """psi = psi1 + psi2 with dual_bound <= t2(psi) <= value: m x n from t2_split, or
+    psi1 = phi, psi2 = 0 of shape [n] (lifted by G.mul) from norms.littlewood_T2_norm."""
+
     value: float
     psi1: np.ndarray
     psi2: np.ndarray
@@ -140,6 +141,8 @@ def _admm_step(P: np.ndarray, Z: np.ndarray, rho: float):
 
 def t2_split(psi, tol: float = 1e-5) -> T2Split:
     """Certified split of psi; gap <= tol, or budget_exhausted with the gap reached."""
+    if not tol >= 0:
+        raise ValueError(f"the tolerance must be nonnegative, got {tol}")
     psi = np.ascontiguousarray(psi, dtype=complex)
     if psi.ndim != 2:
         raise ValueError("t2_split expects a matrix")

@@ -155,8 +155,8 @@ def littlewood_T2_norm(phi: GroupFunction) -> T2Split:
     """
     f = phi.values[phi.group.mul]
     value, dual = _bracket(f, f, f)
-    return T2Split(value=value, psi1=f, psi2=np.zeros_like(f), dual_bound=dual,
-                   gap=value - dual, iterations=0)
+    return T2Split(value=value, psi1=phi.values, psi2=np.zeros_like(phi.values),
+                   dual_bound=dual, gap=value - dual, iterations=0)
 
 
 def schur_action_norm(psi: np.ndarray, contraction: np.ndarray) -> float:
@@ -220,10 +220,13 @@ def amenability_report(sigma: Cocycle, n_samples: int, seed: int,
     are amenable); the report records both values, the relative gap, and
     whether the contractive inclusion cb <= b + tol ever fails.  Solver
     failures are recorded per sample without aborting the batch.  A negative
-    n_samples raises ValueError; zero gives an empty report.
+    n_samples, or a NaN or negative tol, raises ValueError; zero samples
+    give an empty report.
     """
     if n_samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {n_samples}")
+    if not tol >= 0:
+        raise ValueError(f"the tolerance must be nonnegative, got {tol}")
     group = sigma.group
     triv = trivial_cocycle(group)
 

@@ -433,6 +433,8 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     dual bound exceeds the value.  A start point LAPACK refuses raises
     SolverFailure without a partial: there is no iterate.
     """
+    if not tol >= 0:
+        raise ValueError(f"the tolerance must be nonnegative, got {tol}")
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError("gamma2 expects a square matrix")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,18 @@ def test_cocycle_workflow(workdir):
     assert not c.exponents[np.arange(g.order), g.inv].any()
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_cocycle_bilinear_refuses_a_nonpositive_modulus_without_a_warning(workdir, m):
+    gpath = workdir / "z3z3.json"
+    run(["group", "build", "--kind", "cyclic-product", "--orders", "3,3", "-o", gpath])
+    sig = workdir / "sig.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["cocycle", "bilinear", "--group", gpath, "--A", "0,1,0,0",
+                    "--m", m, "-o", sig]) == 2
+    assert not sig.exists()
+
+
 def test_cocycle_validate_reports_violations(workdir):
     gpath = workdir / "z2.json"
     run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])
@@ -251,6 +264,63 @@ def test_norm_commands_and_certificates(workdir):
     # a closed-form certificate: no solver iterations, and no gap to speak of
     assert doc["iterations"] == 0 and doc["budget_exhausted"] is False
     assert doc["gap"] <= 1e-12
+
+
+def _arrays(doc):
+    """Every {"shape", "entries"} array in a document, by its key."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            if set(value) == {"shape", "entries"}:
+                yield key, value
+            else:
+                yield from _arrays(value)
+
+
+def _complex_array(d):
+    z = np.array(d["entries"])
+    return (z[:, 0] + 1j * z[:, 1]).reshape(d["shape"])
+
+
+def test_group_function_documents_write_arrays_of_shape_n(workdir):
+    # the FS dual element and the closed-form T2 split are written as
+    # functions on the group, n coefficients each, never as n x n tables
+    g = tw.symmetric(4)
+    gpath, fpath = workdir / "s4.json", workdir / "phi.json"
+    tw.save_group(g, gpath)
+    rng = np.random.default_rng(4)
+    tw.save_function(tw.GroupFunction(g, rng.standard_normal(24) + 1j * rng.standard_normal(24)),
+                     fpath)
+    phi = tw.load_function(fpath, g)
+    fout, lout = workdir / "fs.json", workdir / "t2.json"
+    assert run(["norm", "fourier", "--phi", fpath, "--sigma", "trivial",
+                "--group", gpath, "-o", fout]) == 0
+    assert run(["norm", "littlewood", "--phi", fpath, "--group", gpath, "-o", lout]) == 0
+    fs, t2 = json.loads(fout.read_text()), json.loads(lout.read_text())
+    assert [key for key, _ in _arrays(fs)] == ["dual_element"]
+    assert [key for key, _ in _arrays(t2)] == ["psi1", "psi2"]
+    for _, a in [*_arrays(fs), *_arrays(t2)]:
+        assert a["shape"] == [g.order] and len(a["entries"]) == g.order
+
+    f = phi.values[g.mul]
+    psi1, psi2 = _complex_array(t2["psi1"])[g.mul], _complex_array(t2["psi2"])[g.mul]
+    assert np.array_equal(psi1, f) and not psi2.any()
+    assert np.array_equal(psi1 + psi2, f)
+    cert = tw.littlewood_T2_norm(phi)
+    assert (t2["value"], t2["dual_bound"], t2["gap"]) == (cert.value, cert.dual_bound, cert.gap)
+    assert fs["value"] == tw.fourier_stieltjes_norm(phi, tw.trivial_cocycle(g)).value
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_norm_multiplier_refuses_a_nan_or_negative_tolerance(workdir, capsys, tol):
+    g = tw.cyclic(4)
+    gpath, fpath = workdir / "z4.json", workdir / "f.json"
+    tw.save_group(g, gpath)
+    tw.save_function(tw.delta(g, 0), fpath)
+    out = workdir / "m.json"
+    assert run(["norm", "multiplier", "--phi", fpath, "--sigma1", "trivial",
+                "--sigma2", "trivial", "--group", gpath, "--tol", tol, "-o", out]) == 2
+    assert not out.exists()
+    assert "tolerance must be nonnegative" in capsys.readouterr().err
 
 
 def test_oversize_multiplier_norm_is_unsupported(workdir):
@@ -311,6 +381,32 @@ def test_report_gap_threshold_exit_code(workdir):
                 "--samples", 2, "--seed", 0, "--threshold", 1e-14, "-o", rep])
     assert code == 6
     assert json.loads(rep.read_text())["samples"]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_report_amenability_refuses_a_nan_or_negative_threshold(workdir, monkeypatch,
+                                                               threshold):
+    # a NaN threshold would pass every gap; it is refused before any sample
+    gpath = workdir / "z2.json"
+    run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])
+    monkeypatch.setattr(cli.norms, "amenability_report", None)
+    rep, csvp = workdir / "rep.json", workdir / "rep.csv"
+    assert run(["report", "amenability", "--group", gpath, "--sigma", "trivial",
+                "--threshold", threshold, "-o", rep, "--csv", csvp]) == 2
+    assert not rep.exists() and not csvp.exists()
+
+
+@pytest.mark.parametrize("samples", [0, 2])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_report_amenability_refuses_a_nan_or_negative_tolerance(workdir, monkeypatch,
+                                                               tol, samples):
+    gpath = workdir / "z2.json"
+    run(["group", "build", "--kind", "cyclic", "--n", 2, "-o", gpath])
+    monkeypatch.setattr(cli.norms, "fourier_stieltjes_norm", None)
+    rep = workdir / "rep.json"
+    assert run(["report", "amenability", "--group", gpath, "--sigma", "trivial",
+                "--samples", samples, "--tol", tol, "-o", rep]) == 2
+    assert not rep.exists()
 
 
 def test_report_amenability_empty(workdir):
@@ -408,6 +504,9 @@ def test_solver_failure_exit_code_writes_partial(workdir):
     doc = json.loads(out.read_text())
     assert doc["status"] == "solver_failure"
     assert doc["value"] is not None
+    # the partial is written through the common lines: the certificate, then
+    # the wall time, then the status
+    assert list(doc)[-2:] == ["wall_time_ms", "status"]
 
 
 def test_non_finite_newton_direction_exits_as_solver_failure(workdir, monkeypatch):
@@ -501,12 +600,8 @@ def test_a_partial_certificate_can_be_rechecked(workdir, refuse_sdp_call):
     assert doc["status"] == "solver_failure" and doc["ill_conditioned"] is True
     assert doc["dual_bound"] <= doc["value"]
 
-    def complex_array(d):
-        z = np.array(d["entries"])
-        return (z[:, 0] + 1j * z[:, 1]).reshape(d["shape"])
-
     F = tw.schur_symbol(phi, tw.trivial_cocycle(g), tw.trivial_cocycle(g))
-    rec = complex_array(doc["xi"]) @ complex_array(doc["eta"]).conj().T
+    rec = _complex_array(doc["xi"]) @ _complex_array(doc["eta"]).conj().T
     assert np.abs(rec - F).max() <= 1e-12
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ def test_bilinear_rejects_ill_defined_modulus():
     g = tw.cyclic_product([2, 4])
     with pytest.raises(CocycleViolation):
         tw.bilinear_cocycle(g, [[0, 1], [0, 0]], m=8)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_bilinear_refuses_a_nonpositive_modulus_before_reducing(m):
+    # the modulus check comes first: "% 0" would warn before it was refused
+    g = tw.cyclic_product([2, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CocycleViolation, match="root order must be positive"):
+            tw.bilinear_cocycle(g, [[0, 1], [0, 0]], m=m)
 
 
 def test_bilinear_mixed_orders_default_m():

@@ -267,7 +267,7 @@ def test_littlewood_delta_and_l2_bound():
         phi = rand_fn(g, rng)
         cert = tw.littlewood_T2_norm(phi)
         assert cert.value <= phi.norm(2) + 1e-5
-        assert np.abs(cert.psi1 + cert.psi2 - phi.values[g.mul]).max() < 1e-9
+        assert np.abs(cert.psi1[g.mul] + cert.psi2[g.mul] - phi.values[g.mul]).max() < 1e-9
 
 
 def test_littlewood_schur_action_domination():
@@ -294,7 +294,7 @@ def test_littlewood_closed_form_matches_the_admm(name):
     admm = tw.t2_split(f, tol=1e-7)
     assert abs(cert.value - admm.value) <= 1e-6
     assert abs(cert.dual_bound - admm.dual_bound) <= 1e-6
-    assert np.array_equal(cert.psi1 + cert.psi2, f)
+    assert np.array_equal(cert.psi1[g.mul] + cert.psi2[g.mul], f)
     assert cert.iterations == 0 and not cert.budget_exhausted
     assert abs(cert.gap) <= 1e-12 * max(1.0, cert.value)
     assert abs(cert.value - phi.norm(2)) <= 1e-12 * max(1.0, cert.value)
@@ -426,6 +426,14 @@ def test_amenability_report_empty():
 def test_amenability_report_refuses_a_negative_sample_count():
     with pytest.raises(ValueError, match="nonnegative"):
         tw.amenability_report(tw.trivial_cocycle(tw.cyclic(2)), n_samples=-3, seed=0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-6])
+def test_amenability_report_refuses_a_nan_or_negative_tolerance(tol):
+    # an empty report too: it would carry the tolerance unchecked
+    for n_samples in (0, 2):
+        with pytest.raises(ValueError, match="tolerance"):
+            tw.amenability_report(tw.trivial_cocycle(tw.cyclic(2)), n_samples, seed=0, tol=tol)
 
 
 def test_bullet_action_is_fs_isometry():

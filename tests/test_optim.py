@@ -171,6 +171,14 @@ def test_gamma2_rejects_oversize_and_nonsquare():
         tw.gamma2(F)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+def test_gamma2_refuses_a_nan_or_negative_tolerance(tol):
+    # refused before the size checks: nothing is allocated or solved
+    with pytest.raises(ValueError, match="tolerance"):
+        tw.gamma2(np.ones((129, 129)), tol=tol)
+    assert tw.gamma2(np.zeros((2, 2)), tol=0.0).value == 0.0
+
+
 def test_gamma2_solver_failure_carries_partial(monkeypatch):
     rng = np.random.default_rng(8)
     F = rng.standard_normal((6, 6))
@@ -574,6 +582,17 @@ def test_t2_split_refuses_non_finite_entries():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             tw.t2_split(np.array([[1.0, bad]]))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+def test_t2_split_refuses_a_nan_or_negative_tolerance(tol, monkeypatch):
+    # a NaN tolerance would run the whole budget and report it unspent
+    monkeypatch.setattr(littlewood, "_admm_step", None)
+    with pytest.raises(ValueError, match="tolerance"):
+        tw.t2_split(np.ones((8, 8)), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        tw.littlewood_norm(np.ones((8, 8)), tol=tol)
+    assert tw.t2_split(np.zeros((2, 2)), tol=0.0).value == 0.0
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (12, 12), (3, 7)], ids=["5", "12", "3x7"])
