@@ -18,14 +18,37 @@ from typing import Optional
 import numpy as np
 
 from . import groups as grp
-from .errors import CertificateError, CocycleViolation
+from .errors import CertificateError, CocycleViolation, UnsupportedSize
 from .groups import FiniteGroup
 from .smith import solve_mod
 
 
-def roots_of_unity(m: int) -> np.ndarray:
-    """exp(2 pi i k / m) for k in range(m): every phase is read from this table."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+# the largest exponent sum the exact layer forms has four terms below m, so
+# m <= 2^61 keeps every int64 sum exact
+MAX_ROOT_ORDER = 1 << 61
+
+
+def root_order(m) -> int:
+    """m as an int, refused before any arithmetic modulo m when it is not in [1, 2^61]."""
+    m = int(m)
+    if m < 1:
+        raise CocycleViolation("root order must be positive")
+    if m > MAX_ROOT_ORDER:
+        raise UnsupportedSize(f"root order {m} exceeds 2^61, the int64 bound of exact cocycles")
+    return m
+
+
+def roots_of_unity(m: int, k=None) -> np.ndarray:
+    """exp(2 pi i k / m) for exponents k, range(m) by default: every phase is computed here.
+
+    Fewer exponents than m are evaluated directly, so a large m builds no
+    m-entry table; otherwise the table is built and indexed.  Both routes give
+    the same floats.
+    """
+    if k is not None and np.size(k) < m:
+        return np.exp(2j * np.pi * k / m)
+    table = np.exp(2j * np.pi * np.arange(m) / m)
+    return table if k is None else table[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,14 +60,14 @@ class Cocycle:
     exponents: np.ndarray
 
     def __post_init__(self):
-        expo = np.ascontiguousarray(self.exponents, dtype=np.int64) % self.m
+        expo = np.ascontiguousarray(self.exponents, dtype=np.int64) % root_order(self.m)
         object.__setattr__(self, "exponents", expo)
         self.exponents.setflags(write=False)
 
     @cached_property
     def values(self) -> np.ndarray:
         """Complex table of cocycle values, |G| x |G|."""
-        return roots_of_unity(self.m)[self.exponents]
+        return roots_of_unity(self.m, self.exponents)
 
     @property
     def is_trivial_table(self) -> bool:
@@ -52,8 +75,8 @@ class Cocycle:
         return not self.exponents.any()
 
     def rescaled(self, new_m: int) -> "Cocycle":
-        """Embed into a larger compatible root order (new_m multiple of m)."""
-        if new_m % self.m:
+        """Embed into a larger compatible root order (new_m multiple of m, at most 2^61)."""
+        if root_order(new_m) % self.m:
             raise ValueError("new root order must be a multiple of the old one")
         if new_m == self.m:
             return self
@@ -69,7 +92,7 @@ class CoboundaryWitness:
     xi: np.ndarray
 
     def __post_init__(self):
-        xi = np.ascontiguousarray(self.xi, dtype=np.int64) % self.m
+        xi = np.ascontiguousarray(self.xi, dtype=np.int64) % root_order(self.m)
         object.__setattr__(self, "xi", xi)
         self.xi.setflags(write=False)
         if self.xi[0] != 0:
@@ -77,10 +100,10 @@ class CoboundaryWitness:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return roots_of_unity(self.m)[self.xi]
+        return roots_of_unity(self.m, self.xi)
 
     def rescaled(self, new_m: int) -> "CoboundaryWitness":
-        if new_m % self.m:
+        if root_order(new_m) % self.m:
             raise ValueError("new root order must be a multiple of the old one")
         if new_m == self.m:
             return self
@@ -125,12 +148,11 @@ def cocycle_violations(table, m: int, group: FiniteGroup):
 
 def validate_cocycle(table, m: int, group: FiniteGroup) -> Cocycle:
     """Return the Cocycle when valid, else raise CocycleViolation with witnesses."""
-    if m < 1:
-        raise CocycleViolation("root order must be positive")
+    m = root_order(m)
     bad = cocycle_violations(table, m, group)
     if bad:
         raise CocycleViolation(f"{len(bad)} violation(s), first: {bad[0]}", bad)
-    return Cocycle(group, int(m), np.asarray(table, dtype=np.int64))
+    return Cocycle(group, m, np.asarray(table, dtype=np.int64))
 
 
 def trivial_cocycle(group: FiniteGroup, m: int = 1) -> Cocycle:
@@ -160,9 +182,7 @@ def bilinear_cocycle(group: FiniteGroup, A, m: Optional[int] = None) -> Cocycle:
         m = L
         B = A * np.outer(L // q, L // q)
     else:
-        m = int(m)
-        if m < 1:
-            raise CocycleViolation("root order must be positive")
+        m = root_order(m)
         B = A
         bad = np.argwhere((A * q[:, None]) % m | (A * q[None, :]) % m)
         if bad.size:
@@ -212,7 +232,7 @@ def normalize_cocycle(tau: Cocycle):
     at root order 2m).
     """
     g = tau.group
-    m2 = 2 * tau.m
+    m2 = root_order(2 * tau.m)
     e2 = (2 * tau.exponents) % m2
     r = tau.exponents[np.arange(g.order), g.inv]  # exponent of tau(s, s^-1), over m
     mul = g.mul

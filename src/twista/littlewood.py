@@ -50,15 +50,29 @@ MEMORY = 5              # Anderson memory: differences kept for extrapolation
 
 
 @dataclass(frozen=True, eq=False)
-class T2Split:
+class Bracket:
+    """A certified bracket: the norm lies in [dual_bound, value]."""
+
+    value: float
+    dual_bound: float
+
+    @property
+    def gap(self) -> float:
+        return self.value - self.dual_bound
+
+
+def closes(value: float, dual_bound: float, tol: float) -> bool:
+    """The one closure rule of both solvers: the bracket is at most tol wide."""
+    return value - dual_bound <= tol
+
+
+@dataclass(frozen=True, eq=False)
+class T2Split(Bracket):
     """psi = psi1 + psi2 with dual_bound <= t2(psi) <= value: m x n from t2_split, or
     psi1 = phi, psi2 = 0 of shape [n] (lifted by G.mul) from norms.littlewood_T2_norm."""
 
-    value: float
     psi1: np.ndarray
     psi2: np.ndarray
-    dual_bound: float
-    gap: float
     iterations: int
     budget_exhausted: bool = False
 
@@ -150,8 +164,8 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
         raise ValueError("matrix entries must be finite")
     scale = float(np.abs(psi).max()) if psi.size else 0.0
     if scale == 0.0:
-        z = np.zeros_like(psi)
-        return T2Split(0.0, z, z, 0.0, 0.0, 0)
+        return T2Split(value=0.0, dual_bound=0.0, psi1=np.zeros_like(psi),
+                       psi2=np.zeros_like(psi), iterations=0)
     P = psi / scale
 
     X = np.stack([0.5 * P, np.zeros_like(P)])   # the point T is applied to
@@ -188,7 +202,7 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
             if cand < best_value:
                 best_value, best_psi1 = cand, psi1
             best_dual = max(best_dual, dual)
-            if best_value - best_dual <= 0.5 * tol / scale:
+            if closes(best_value, best_dual, 0.5 * tol / scale):
                 break
             # residual balancing on the halves of f, the changes of psi2 and
             # U; TAU is a power of two, so U rescales exactly
@@ -210,10 +224,7 @@ def t2_split(psi, tol: float = 1e-5) -> T2Split:
         else:
             X, bound = plain, np.inf
 
-    value = best_value * scale
-    dual = best_dual * scale
-    gap = value - dual
+    value, dual = best_value * scale, best_dual * scale
     psi1_out = best_psi1 * scale
-    return T2Split(value=value, psi1=psi1_out, psi2=psi - psi1_out,
-                   dual_bound=dual, gap=gap, iterations=it,
-                   budget_exhausted=bool(gap > tol))
+    return T2Split(value=value, dual_bound=dual, psi1=psi1_out, psi2=psi - psi1_out,
+                   iterations=it, budget_exhausted=not closes(value, dual, tol))

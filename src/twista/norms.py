@@ -26,9 +26,9 @@ import numpy as np
 from .algebra import (GroupFunction, TwistedOperator, complex_entries, lift_matrix,
                       operator_coefficients)
 from .cocycles import Cocycle, cocycle_conjugate, cocycle_product, trivial_cocycle
-from .errors import CertificateError, SolverFailure
+from .errors import CertificateError, SolverFailure, UnsupportedSize
 from .groups import same_group
-from .littlewood import T2Split, _bracket, t2_split
+from .littlewood import Bracket, T2Split, _bracket, t2_split
 
 
 def __getattr__(name):
@@ -50,19 +50,16 @@ class FourierStieltjesCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class MultiplierCertificate:
-    value: float
+class MultiplierCertificate(Bracket):
     xi: np.ndarray          # sigma(t,s) phi(ts) = <xi(s), eta(t)>
     eta: np.ndarray
-    dual_bound: float
-    gap: float
     sdp: SDPSolution = field(repr=False)
 
     @classmethod
     def of(cls, sol: SDPSolution) -> MultiplierCertificate:
         """The certificate a gamma2 solution states, a failed solve's partial included."""
-        return cls(value=sol.value, xi=sol.xi, eta=sol.eta, dual_bound=sol.dual_bound,
-                   gap=sol.gap, sdp=sol)
+        return cls(value=sol.value, dual_bound=sol.dual_bound, xi=sol.xi, eta=sol.eta,
+                   sdp=sol)
 
 
 def _dual_coefficients(values: np.ndarray, sigma: Cocycle) -> np.ndarray:
@@ -155,8 +152,8 @@ def littlewood_T2_norm(phi: GroupFunction) -> T2Split:
     """
     f = phi.values[phi.group.mul]
     value, dual = _bracket(f, f, f)
-    return T2Split(value=value, psi1=phi.values, psi2=np.zeros_like(phi.values),
-                   dual_bound=dual, gap=value - dual, iterations=0)
+    return T2Split(value=value, dual_bound=dual, psi1=phi.values,
+                   psi2=np.zeros_like(phi.values), iterations=0)
 
 
 def schur_action_norm(psi: np.ndarray, contraction: np.ndarray) -> float:
@@ -221,13 +218,18 @@ def amenability_report(sigma: Cocycle, n_samples: int, seed: int,
     whether the contractive inclusion cb <= b + tol ever fails.  Solver
     failures are recorded per sample without aborting the batch.  A negative
     n_samples, or a NaN or negative tol, raises ValueError; zero samples
-    give an empty report.
+    give an empty report.  A group above sdp.MAX_SIZE raises UnsupportedSize
+    before any sample, whatever n_samples is.
     """
     if n_samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {n_samples}")
     if not tol >= 0:
         raise ValueError(f"the tolerance must be nonnegative, got {tol}")
+    from . import sdp
     group = sigma.group
+    if group.order > sdp.MAX_SIZE:
+        raise UnsupportedSize(f"the report solves gamma2 on |G| <= {sdp.MAX_SIZE}, "
+                              f"got {group.order}")
     triv = trivial_cocycle(group)
 
     def one(k: int):
@@ -237,17 +239,13 @@ def amenability_report(sigma: Cocycle, n_samples: int, seed: int,
         t0 = time.perf_counter()
         b = fourier_stieltjes_norm(phi, sigma).value
         try:
-            cert = cb_multiplier_norm(phi, triv, sigma, tol=tol)
-            cb, sdp_gap, status = cert.value, cert.gap, "ok"
+            cb, status = cb_multiplier_norm(phi, triv, sigma, tol=tol), "ok"
         except SolverFailure as exc:
-            part = exc.partial
-            cb = part.value if part is not None else float("nan")
-            sdp_gap = part.gap if part is not None else float("nan")
-            status = "solver_failure"
+            cb, status = exc.partial or Bracket(float("nan"), float("nan")), "solver_failure"
         ms = (time.perf_counter() - t0) * 1e3
-        rel = abs(b - cb) / max(b, 1e-12)
-        return AmenabilitySample(sample_id=k, seed=seed, b_norm=b, cb_norm=cb,
-                                 rel_gap=rel, sdp_gap=sdp_gap,
+        rel = abs(b - cb.value) / max(b, 1e-12)
+        return AmenabilitySample(sample_id=k, seed=seed, b_norm=b, cb_norm=cb.value,
+                                 rel_gap=rel, sdp_gap=cb.gap,
                                  wall_time_ms=ms, status=status)
 
     samples = [one(k) for k in range(n_samples)]

@@ -64,24 +64,21 @@ from scipy.linalg.lapack import (dpotrf, dpotrs, zgesdd, zgesdd_lwork, zgesvd,
                                  zpotrs, ztrtrs)
 
 from .errors import CertificateError, SolverFailure, UnsupportedSize
-from .littlewood import rounding_shrink
+from .littlewood import Bracket, closes, rounding_shrink
 
 MAX_SIZE = 128
 MAX_ITER = 100          # interior-point iteration budget
 
 
 @dataclass(frozen=True, eq=False)
-class SDPSolution:
+class SDPSolution(Bracket):
     """Solver output: gamma2(F) lies in [dual_bound, value].
 
     dual_bound is the trace norm of diag(dual_u) F diag(dual_v); gamma2 fills
     every field, the all-zero F included.
     """
 
-    value: float
     gram: np.ndarray            # [[X, F], [F^H, Y]], PSD, off-block exactly F
-    dual_bound: float
-    gap: float
     iterations: int
     xi: np.ndarray              # F = xi eta^H, the first and last n rows of the lower
     eta: np.ndarray             # Cholesky factor of gram: n x 2n, rows of norm sqrt(value)
@@ -447,7 +444,7 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
     scale = float(np.abs(F).max()) if F.size else 0.0
     if scale == 0.0:
         zero = np.zeros((2 * n, 2 * n), dtype=complex)      # the gram and its factor
-        return SDPSolution(0.0, zero, 0.0, 0.0, 0, zero[:n], zero[n:], False,
+        return SDPSolution(0.0, 0.0, zero, 0, zero[:n], zero[n:], False,
                            np.zeros(n), np.zeros(n))
     F = F / scale
 
@@ -483,24 +480,21 @@ def gamma2(F, tol: float = 1e-6) -> SDPSolution:
                 break
             if bound > best_dual:
                 best_dual, best_uv = bound, (u, v)
-            if pobj - best_dual <= 0.5 * tol / scale:
+            if closes(pobj, best_dual, 0.5 * tol / scale):
                 break
             S, LS, Zp = _step(S, LS, Zp, newton)
         except np.linalg.LinAlgError:
             ill = True
             break
 
-    value = float(S[0, 0].real) * scale
-    dual_bound = best_dual * scale
-    gap = value - dual_bound
     L = np.sqrt(scale) * LS
-    sol = SDPSolution(value=value, gram=scale * S, dual_bound=dual_bound, gap=gap,
-                      iterations=it, xi=L[:n], eta=L[n:],
+    sol = SDPSolution(value=float(S[0, 0].real) * scale, dual_bound=best_dual * scale,
+                      gram=scale * S, iterations=it, xi=L[:n], eta=L[n:],
                       ill_conditioned=ill, dual_u=best_uv[0], dual_v=best_uv[1])
     if violation:
         raise CertificateError(violation, partial=sol)
-    if not gap <= tol:          # a NaN gap fails too
+    if not closes(sol.value, sol.dual_bound, tol):     # a NaN gap fails too
         raise SolverFailure(
-            f"gamma2 reached gap {gap:.3e} > tol {tol:.1e} "
+            f"gamma2 reached gap {sol.gap:.3e} > tol {tol:.1e} "
             f"after {it} iterations", partial=sol)
     return sol

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -236,6 +237,49 @@ def test_cocycle_compare_modulus_beyond_int64_is_unsupported(workdir, bits, code
                 "--group", gpath, "-o", workdir / "cmp.json"]) == code
 
 
+def _z2_cocycle(workdir, name, m, e11):
+    """A Z2 group file and a cocycle file over m-th roots, exponents 0 but e(1, 1)."""
+    gpath = workdir / "z2.json"
+    tw.save_group(tw.cyclic(2), gpath)
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps({"m": m, "exponents": [[0, 0], [0, e11]]}))
+    return gpath, path
+
+
+@pytest.mark.parametrize("action", ["validate", "normalize"])
+def test_a_root_order_beyond_2_61_is_unsupported(workdir, capsys, action):
+    # the file's m = 2^62 fits int64, but sums of exponents below it do not
+    gpath, sig = _z2_cocycle(workdir, "big", 1 << 62, 1 << 61)
+    out = workdir / "out.json"
+    assert run(["cocycle", action, "--in", sig, "--group", gpath, "-o", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported size: root order") and "Traceback" not in err
+    if action == "validate":
+        assert json.loads(out.read_text())["ok"] is False
+    else:
+        assert not out.exists()
+
+
+def test_normalize_refuses_the_doubled_root_order(workdir, capsys):
+    # m = 2^61 loads, and normalize refuses 2m before its arithmetic modulo 2m
+    gpath, sig = _z2_cocycle(workdir, "edge", 1 << 61, 1 << 60)
+    assert run(["cocycle", "validate", "--in", sig, "--group", gpath]) == 0
+    out = workdir / "norm.json"
+    assert run(["cocycle", "normalize", "--in", sig, "--group", gpath, "-o", out]) == 4
+    assert "root order 4611686018427387904" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cocycle_compare_refuses_a_common_root_order_beyond_2_61(workdir, capsys):
+    # lcm(2^40, 2^40 + 1) is past 2^80: refused before either table is rescaled
+    gpath, a = _z2_cocycle(workdir, "a", 1 << 40, 1 << 39)
+    _, b = _z2_cocycle(workdir, "b", (1 << 40) + 1, 0)
+    assert run(["cocycle", "compare", "--a", a, "--b", b, "--group", gpath,
+                "-o", workdir / "cmp.json"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported size: root order") and "Traceback" not in err
+
+
 def test_norm_commands_and_certificates(workdir):
     gpath = workdir / "z4.json"
     run(["group", "build", "--kind", "cyclic", "--n", 4, "-o", gpath])
@@ -354,6 +398,22 @@ def test_norm_deterministic_across_runs(workdir):
     assert outs[0] == outs[1]
 
 
+def test_report_amenability_refuses_a_group_above_the_gamma2_cap(workdir, monkeypatch,
+                                                                  capsys):
+    gpath = workdir / "z130.json"
+    tw.save_group(tw.cyclic(130), gpath)
+
+    def no_sample(*args):
+        raise AssertionError("a sample was computed")
+
+    monkeypatch.setattr(tw.norms, "fourier_stieltjes_norm", no_sample)
+    rep = workdir / "rep.json"
+    assert run(["report", "amenability", "--group", gpath, "--sigma", "trivial",
+                "--samples", 1, "-o", rep]) == 4
+    assert "|G| <= 128, got 130" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_report_amenability(workdir):
     gpath = workdir / "z3z3.json"
     run(["group", "build", "--kind", "cyclic-product", "--orders", "3,3",
@@ -438,6 +498,55 @@ def test_report_json_keys_follow_the_report_fields(workdir):
                          "max_rel_gap", "inclusion_violations", "samples", "threshold"]
     assert list(doc["samples"][0]) == ["sample_id", "seed", "b_norm", "cb_norm",
                                        "rel_gap", "sdp_gap", "wall_time_ms", "status"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+CERTIFICATE_KEYS = {
+    "norm fourier": ["norm", "label", "value", "method", "singular_values",
+                     "pairing_check", "dual_element"],
+    "norm multiplier": ["norm", "value", "dual_bound", "gap", "iterations",
+                        "ill_conditioned", "dual_u", "dual_v", "xi", "eta"],
+    "norm littlewood": ["norm", "value", "dual_bound", "gap", "iterations",
+                        "budget_exhausted", "psi1", "psi2"],
+}
+
+
+def _readme_keys(command):
+    """The keys of one bullet of the README's "Certificate documents": the
+    backticked names of its first sentence, parenthesised values left out."""
+    section = README.read_text().split("### Certificate documents", 1)[1].split("\n## ", 1)[0]
+    bullet = " ".join(section.split(f"* `{command}`:", 1)[1].split())
+    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", bullet.split("`. ", 1)[0] + "`"))
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFICATE_KEYS))
+def test_the_readme_lists_each_certificate_document_in_key_order(command):
+    assert _readme_keys(command) == CERTIFICATE_KEYS[command]
+
+
+def test_certificate_documents_keep_their_key_order(workdir):
+    # the certificate classes may order their fields as they like; the
+    # documents keep the README's order, wall_time_ms and status written last
+    g = tw.cyclic_product([3, 3])
+    gpath, fpath = workdir / "g.json", workdir / "phi.json"
+    tw.save_group(g, gpath)
+    rng = np.random.default_rng(5)
+    tw.save_function(tw.GroupFunction(g, rng.standard_normal(9) + 1j * rng.standard_normal(9)),
+                     fpath)
+    argv = {"norm fourier": ["--sigma", "trivial"],
+            "norm multiplier": ["--sigma1", "trivial", "--sigma2", "trivial"],
+            "norm littlewood": []}
+    for command, extra in argv.items():
+        out = workdir / "doc.json"
+        assert run([*command.split(), "--phi", fpath, "--group", gpath, *extra, "-o", out]) == 0
+        assert list(json.loads(out.read_text())) == CERTIFICATE_KEYS[command] + ["wall_time_ms"]
+    assert run(["norm", "multiplier", "--phi", fpath, "--group", gpath, *argv["norm multiplier"],
+                "--tol", 1e-16, "-o", out]) == 5
+    assert list(json.loads(out.read_text())) == (CERTIFICATE_KEYS["norm multiplier"]
+                                                 + ["wall_time_ms", "status"])
+    split = tw.t2_split(rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
+    assert list(tw.norms.certificate_to_json(split)) == CERTIFICATE_KEYS["norm littlewood"]
 
 
 @pytest.fixture()

@@ -467,3 +467,55 @@ def test_coboundary_test_works_in_n2_memory(z6_cubed):
     g, c, twisted = z6_cubed
     for c1, c2 in [(twisted, c), (c, tw.trivial_cocycle(g, 4))]:
         assert _peak_in_n2_doubles(lambda: tw.coboundary_test(c1, c2), g.order) < 8
+
+
+def test_root_orders_past_2_61_are_refused_before_their_arithmetic():
+    # the exact layer's largest exponent sum has four terms below m
+    from twista import cocycles
+    g = tw.cyclic(2)
+    edge = tw.validate_cocycle([[0, 0], [0, 1 << 60]], 1 << 61, g)
+    assert edge.m == cocycles.MAX_ROOT_ORDER == 1 << 61
+    with pytest.raises(tw.UnsupportedSize, match="root order"):
+        tw.validate_cocycle([[0, 0], [0, 1 << 61]], 1 << 62, g)
+    with pytest.raises(tw.UnsupportedSize, match="root order"):
+        tw.normalize_cocycle(edge)              # doubles m to 2^62
+    a = tw.validate_cocycle([[0, 0], [0, 1 << 39]], 1 << 40, g)
+    b = tw.trivial_cocycle(g, (1 << 40) + 1)
+    for call in (lambda: tw.coboundary_test(a, b), lambda: tw.cocycle_product(a, b),
+                 lambda: a.rescaled(1 << 62), lambda: tw.unify_root_orders(a, b)):
+        with pytest.raises(tw.UnsupportedSize, match="root order"):
+            call()
+    for build in (lambda: tw.trivial_cocycle(g, 1 << 62),
+                  lambda: tw.CoboundaryWitness(g, 1 << 62, [0, 1])):
+        with pytest.raises(tw.UnsupportedSize, match="root order"):
+            build()
+    with pytest.raises(CocycleViolation, match="positive"):
+        tw.validate_cocycle([[0, 0], [0, 0]], 0, g)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 120, 1009, 65537, 1000003])
+def test_direct_phases_equal_the_table_bitwise(m):
+    from twista.cocycles import roots_of_unity
+    table = roots_of_unity(m)
+    rng = np.random.default_rng(m)
+    for k in (rng.integers(0, m, (3, 5)), rng.integers(0, m, 2 * m), np.array([m - 1])):
+        assert np.array_equal(roots_of_unity(m, k).view(float), table[k].view(float))
+
+
+def test_phases_of_a_large_root_order_build_no_table():
+    # a 2^22-entry table would take 64 MiB; two exponents are evaluated directly
+    m = 1 << 22
+    g = tw.cyclic(2)
+    sigma = tw.validate_cocycle([[0, 0], [0, m // 2 + 1]], m, g)
+    phi = tw.GroupFunction(g, np.array([1.0, 0.5j]))
+    tracemalloc.start()
+    try:
+        values = sigma.values
+        cert = tw.fourier_stieltjes_norm(phi, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    e = sigma.exponents
+    assert np.array_equal(values.view(float), np.exp(2j * np.pi * e / m).view(float))
+    assert cert.value > 0

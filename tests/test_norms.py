@@ -143,7 +143,7 @@ def test_certificate_json_entries_match_the_per_entry_form(kind):
     z = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     z[0, 0], z[1, 1] = -0.0, complex(0.0, -0.0)
     a = {"complex": z.T, "real": z.real, "empty": np.zeros((0, 3))}[kind]
-    cert = tw.T2Split(1.0, a, a, 1.0, 0.0, 0)
+    cert = tw.T2Split(value=1.0, dual_bound=1.0, psi1=a, psi2=a, iterations=0)
     doc = norms.certificate_to_json(cert)
     per_entry = [[float(w.real), float(w.imag)] for w in np.asarray(a).reshape(-1)]
     assert doc["psi1"] == {"shape": list(a.shape), "entries": per_entry}
@@ -404,6 +404,69 @@ def test_a_weak_duality_failure_is_recorded_with_its_bracket(z3z3, inflate_dual_
     report = tw.amenability_report(sigma, n_samples=2, seed=3)
     assert [s.status for s in report.samples] == ["solver_failure", "ok"]
     assert np.isfinite([report.samples[0].cb_norm, report.samples[0].sdp_gap]).all()
+
+
+def test_a_failure_without_an_iterate_is_recorded_with_no_bracket(z3z3, refuse_sdp_call):
+    # a refused start point carries no partial: the sample's bracket is NaN
+    _, sigma = z3z3
+    refuse_sdp_call("zpotrf", 1)
+    report = tw.amenability_report(sigma, n_samples=2, seed=3)
+    assert [s.status for s in report.samples] == ["solver_failure", "ok"]
+    assert np.isnan([report.samples[0].cb_norm, report.samples[0].sdp_gap]).all()
+
+
+def test_amenability_report_refuses_a_group_above_the_gamma2_cap(monkeypatch):
+    # refused before the first sample's Fourier-Stieltjes SVD, whatever the count
+    def no_sample(*args):
+        raise AssertionError("a sample was computed")
+
+    monkeypatch.setattr(norms, "fourier_stieltjes_norm", no_sample)
+    sigma = tw.trivial_cocycle(tw.cyclic(130))
+    for n_samples in (0, 1):
+        with pytest.raises(tw.UnsupportedSize, match="128"):
+            tw.amenability_report(sigma, n_samples, seed=0)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def test_the_gap_is_the_width_of_every_bracket(z3z3, refuse_sdp_call):
+    # gap is derived from value and dual_bound, never stored beside them
+    g, sigma = z3z3
+    rng = np.random.default_rng(8)
+    phi = rand_fn(g, rng)
+    closed = tw.cb_multiplier_norm(phi, tw.trivial_cocycle(g), sigma)
+    refuse_sdp_call("_psd_max_step", 5)
+    with pytest.raises(tw.SolverFailure) as failed:
+        tw.cb_multiplier_norm(phi, tw.trivial_cocycle(g), sigma)
+    partial = failed.value.partial
+    brackets = [closed, closed.sdp, partial, norms.MultiplierCertificate.of(partial),
+                tw.t2_split(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))),
+                tw.littlewood_T2_norm(phi)]
+    assert partial.ill_conditioned and partial.gap > 0
+    for b in brackets:
+        assert isinstance(b, littlewood.Bracket)
+        assert _bits(b.gap) == _bits(b.value - b.dual_bound), b
+    assert closed.gap <= 1e-6 and brackets[-2].gap <= 1e-5
+
+
+def test_the_closure_rule_is_absolute_and_refuses_a_nan_width():
+    assert littlewood.closes(2.0, 1.5, 0.5) and not littlewood.closes(2.0, 1.5, 0.25)
+    assert littlewood.closes(1e8, 1e8 - 1e-7, 1e-6)
+    assert not littlewood.closes(1e8, 1e8 - 1e-5, 1e-6)
+    assert not littlewood.closes(np.nan, 1.0, 1.0)
+    assert not littlewood.closes(np.inf, np.inf, 1.0)
+
+
+def test_the_zero_split_allocates_its_own_zeros():
+    psi = np.zeros((3, 4), dtype=complex)
+    split = tw.t2_split(psi)
+    assert (split.value, split.dual_bound, split.gap, split.iterations) == (0.0, 0.0, 0.0, 0)
+    assert not split.budget_exhausted
+    for a in (split.psi1, split.psi2):
+        assert a.shape == psi.shape and not a.any() and not np.shares_memory(a, psi)
+    assert not np.shares_memory(split.psi1, split.psi2)
 
 
 def test_amenability_closed_form_z2_delta():

@@ -265,10 +265,9 @@ def test_gamma2_stops_a_failed_step_in_one_place():
     assert [kind for _, *kind in sets] == [["Assign", "False"], ["Assign", "True"]], sets
 
 
-def test_rounding_shrink_is_applied_only_by_the_two_witness_rules():
-    # each lower bound has one rounding proof: the T2 witness of a multiplier
-    # and the gamma2 trace bound; another caller would be a second witness rule
-    found = set()
+def _owners_of(found):
+    """module.function of every package node for which found(node) holds."""
+    owners = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}
@@ -276,10 +275,47 @@ def test_rounding_shrink_is_applied_only_by_the_two_witness_rules():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(node), fn.name) for node in ast.walk(fn))
-        found |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and "rounding_shrink" in
-                  (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+        owners |= {f"{path.stem}.{owner.get(id(node), '<module>')}"
+                   for node in ast.walk(tree) if found(node)}
+    return owners
+
+
+def test_rounding_shrink_is_applied_only_by_the_two_witness_rules():
+    # each lower bound has one rounding proof: the T2 witness of a multiplier
+    # and the gamma2 trace bound; another caller would be a second witness rule
+    found = _owners_of(lambda node: isinstance(node, ast.Call) and "rounding_shrink" in
+                       (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
     assert found == {"littlewood._dual_feasible", "sdp._dual_trace_bound"}, found
+
+
+def _width_against_tolerance(node) -> bool:
+    # `a - b` or a `gap` compared with an operand that reads `tol`
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    widths = [i for i, side in enumerate(sides)
+              if (isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub))
+              or getattr(side, "id", getattr(side, "attr", None)) == "gap"]
+    tols = [i for i, side in enumerate(sides)
+            if any(getattr(sub, "id", getattr(sub, "attr", None)) == "tol"
+                   for sub in ast.walk(side))]
+    return any(i != j for i in widths for j in tols)
+
+
+def test_one_closure_rule_judges_both_solvers():
+    # littlewood.closes is the one place a bracket width meets a tolerance;
+    # gamma2 and t2_split call it at their in-loop stop and at their verdict
+    found = _owners_of(_width_against_tolerance)
+    assert found == {"littlewood.closes"}, found
+    for module, name in (("sdp", "gamma2"), ("littlewood", "t2_split")):
+        path = SOURCE / f"{module}.py"
+        fn, = [top for top in ast.parse(path.read_text(), str(path)).body
+               if isinstance(top, ast.FunctionDef) and top.name == name]
+        in_loop = {id(node) for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+                   for node in ast.walk(loop)}
+        calls = [id(node) in in_loop for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "closes"]
+        assert sorted(calls) == [False, True], (name, calls)
 
 
 def _encodes_complex_pairs(node) -> bool:
