@@ -4,6 +4,12 @@ Storing exponents instead of floating phases makes the cocycle identity,
 similarity, and the coboundary decision exact integer arithmetic.
 Continuous-phase cocycles (irrational angles) are approximated by rational
 root-of-unity cocycles at a caller-chosen root order m.
+
+The exact layer has one table type, exp(2 pi i k / m) for int64 exponents k
+reduced into [0, m): a Cocycle is an n x n such table and a
+CoboundaryWitness an n-vector, whose xi is its exponents.  A common root
+order is formed only by unify_root_orders, and the coboundary
+delta x(s, t) = x(s) + x(t) - x(st) only by _coboundary.
 """
 
 from __future__ import annotations
@@ -29,7 +35,17 @@ MAX_ROOT_ORDER = 1 << 61
 
 
 def root_order(m) -> int:
-    """m as an int, refused before any arithmetic modulo m when it is not in [1, 2^61]."""
+    """m as an int, refused before any arithmetic modulo m unless a whole number in [1, 2^61].
+
+    A whole number of any size reaches the size bound, so m = 2^64 is
+    unsupported rather than malformed; 2.5, "4" and None are malformed.
+    """
+    try:
+        whole = int(m) == m
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"root order must be an integer, got {m!r}")
     m = int(m)
     if m < 1:
         raise CocycleViolation("root order must be positive")
@@ -52,8 +68,8 @@ def roots_of_unity(m: int, k=None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Cocycle:
-    """Unimodular 2-cocycle: value(s, t) = exp(2*pi*i * exponents[s, t] / m)."""
+class _RootPowers:
+    """Table of phases exp(2*pi*i * exponents / m), the exponents int64 in [0, m), read-only."""
 
     group: FiniteGroup
     m: int
@@ -66,51 +82,51 @@ class Cocycle:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Complex table of cocycle values, |G| x |G|."""
+        """Complex table of the phases, of the exponents' shape."""
         return roots_of_unity(self.m, self.exponents)
+
+    def rescaled(self, new_m: int):
+        """The same type and phases over new_m-th roots (a multiple of m, at most 2^61)."""
+        if root_order(new_m) % self.m:
+            raise ValueError("new root order must be a multiple of the old one")
+        if new_m == self.m:
+            return self
+        return type(self)(self.group, new_m, self.exponents * (new_m // self.m))
+
+
+class Cocycle(_RootPowers):
+    """Unimodular 2-cocycle: value(s, t) = exp(2*pi*i * exponents[s, t] / m)."""
 
     @property
     def is_trivial_table(self) -> bool:
         """Pointwise equal to 1 (stronger than cohomological triviality)."""
         return not self.exponents.any()
 
-    def rescaled(self, new_m: int) -> "Cocycle":
-        """Embed into a larger compatible root order (new_m multiple of m, at most 2^61)."""
-        if root_order(new_m) % self.m:
-            raise ValueError("new root order must be a multiple of the old one")
-        if new_m == self.m:
-            return self
-        return Cocycle(self.group, new_m, self.exponents * (new_m // self.m))
 
-
-@dataclass(frozen=True, eq=False)
-class CoboundaryWitness:
-    """Unimodular function xi with xi(e) = 1, as exponents over m-th roots."""
-
-    group: FiniteGroup
-    m: int
-    xi: np.ndarray
+class CoboundaryWitness(_RootPowers):
+    """Unimodular function xi with xi(e) = 1: xi(s) = exp(2*pi*i * xi[s] / m)."""
 
     def __post_init__(self):
-        xi = np.ascontiguousarray(self.xi, dtype=np.int64) % root_order(self.m)
-        object.__setattr__(self, "xi", xi)
-        self.xi.setflags(write=False)
+        super().__post_init__()
         if self.xi[0] != 0:
             raise ValueError("witness must satisfy xi(e) = 1")
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        return roots_of_unity(self.m, self.xi)
-
-    def rescaled(self, new_m: int) -> "CoboundaryWitness":
-        if root_order(new_m) % self.m:
-            raise ValueError("new root order must be a multiple of the old one")
-        if new_m == self.m:
-            return self
-        return CoboundaryWitness(self.group, new_m, self.xi * (new_m // self.m))
+    @property
+    def xi(self) -> np.ndarray:
+        """The exponents of xi over m-th roots."""
+        return self.exponents
 
     def inverse(self) -> "CoboundaryWitness":
-        return CoboundaryWitness(self.group, self.m, (-self.xi) % self.m)
+        return CoboundaryWitness(self.group, self.m, -self.xi)
+
+
+def _coboundary(x, mul, rows=slice(None)):
+    """delta x(s, t) = x(s) + x(t) - x(st) for s in rows, all t, unreduced.
+
+    x is indexed by group elements on its first axis; further axes (the
+    generator coordinates of _tree_coordinates) are carried along.
+    """
+    return x[rows, None] + x[None] - x[mul[rows]]
 
 
 def cocycle_violations(table, m: int, group: FiniteGroup):
@@ -147,12 +163,16 @@ def cocycle_violations(table, m: int, group: FiniteGroup):
 
 
 def validate_cocycle(table, m: int, group: FiniteGroup) -> Cocycle:
-    """Return the Cocycle when valid, else raise CocycleViolation with witnesses."""
+    """Return the Cocycle when valid, else raise CocycleViolation with witnesses.
+
+    The entries pass groups.integer_entries, so 1.5 is refused, not read as 1.
+    """
     m = root_order(m)
-    bad = cocycle_violations(table, m, group)
+    expo = grp.integer_entries(table)
+    bad = [("non-integer entries",)] if expo is None else cocycle_violations(expo, m, group)
     if bad:
         raise CocycleViolation(f"{len(bad)} violation(s), first: {bad[0]}", bad)
-    return Cocycle(group, m, np.asarray(table, dtype=np.int64))
+    return Cocycle(group, m, expo)
 
 
 def trivial_cocycle(group: FiniteGroup, m: int = 1) -> Cocycle:
@@ -192,35 +212,30 @@ def bilinear_cocycle(group: FiniteGroup, A, m: Optional[int] = None) -> Cocycle:
 
     # digits of each element, last factor fastest
     digits = np.stack(np.unravel_index(np.arange(group.order), orders), axis=1)
-    expo = np.einsum("si,ij,tj->st", digits, B, digits) % m
-    return validate_cocycle(expo, m, group)
+    return validate_cocycle(np.einsum("si,ij,tj->st", digits, B, digits), m, group)
 
 
-def unify_root_orders(*cocycles: Cocycle):
-    """Rescale cocycles to their common lcm root order."""
-    L = lcm(*(c.m for c in cocycles))
-    return tuple(c.rescaled(L) for c in cocycles)
+def unify_root_orders(*tables: _RootPowers):
+    """Rescale cocycles and witnesses to their common lcm root order."""
+    L = lcm(*(t.m for t in tables))
+    return tuple(t.rescaled(L) for t in tables)
 
 
 def cocycle_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
     grp.same_group(c1, c2)
     a, b = unify_root_orders(c1, c2)
-    return Cocycle(a.group, a.m, (a.exponents + b.exponents) % a.m)
+    return Cocycle(a.group, a.m, a.exponents + b.exponents)
 
 
 def cocycle_conjugate(c: Cocycle) -> Cocycle:
-    return Cocycle(c.group, c.m, (-c.exponents) % c.m)
+    return Cocycle(c.group, c.m, -c.exponents)
 
 
 def similarity_apply(c: Cocycle, xi: CoboundaryWitness) -> Cocycle:
     """Multiply by the coboundary of xi: out(s,t) = xi(s) xi(t) / xi(st) * c(s,t)."""
     grp.same_group(c, xi)
-    L = lcm(c.m, xi.m)
-    e = c.rescaled(L).exponents
-    x = xi.rescaled(L).xi
-    mul = c.group.mul
-    out = (e + x[:, None] + x[None, :] - x[mul]) % L
-    return Cocycle(c.group, L, out)
+    c, xi = unify_root_orders(c, xi)
+    return Cocycle(c.group, c.m, c.exponents + _coboundary(xi.xi, c.group.mul))
 
 
 def normalize_cocycle(tau: Cocycle):
@@ -232,17 +247,14 @@ def normalize_cocycle(tau: Cocycle):
     at root order 2m).
     """
     g = tau.group
-    m2 = root_order(2 * tau.m)
-    e2 = (2 * tau.exponents) % m2
+    tau2 = tau.rescaled(2 * tau.m)
     r = tau.exponents[np.arange(g.order), g.inv]  # exponent of tau(s, s^-1), over m
-    mul = g.mul
-    expo = (e2 + r[mul] - r[:, None] - r[None, :]) % m2
-    sigma = Cocycle(g, m2, expo)
-    xi = CoboundaryWitness(g, m2, r % m2)
+    sigma = Cocycle(g, tau2.m, tau2.exponents - _coboundary(r, g.mul))
+    xi = CoboundaryWitness(g, tau2.m, r)
     # self-check: the witness certifies the similarity and the normalization rows hold
     if sigma.exponents[np.arange(g.order), g.inv].any():
         raise CertificateError("normalized cocycle has sigma(s, s^-1) != 1")
-    if not np.array_equal(similarity_apply(sigma, xi).exponents, e2):
+    if not np.array_equal(similarity_apply(sigma, xi).exponents, tau2.exponents):
         raise CertificateError("normalization witness does not certify the similarity")
     return sigma, xi
 
@@ -278,23 +290,22 @@ def coboundary_test(c1: Cocycle, c2: Cocycle) -> Optional[CoboundaryWitness]:
     the row for s = e forces xi(e) = 0) loses no solution and adds none.
     """
     group = grp.same_group(c1, c2)
-    L = lcm(c1.m, c2.m)
-    e1 = c1.rescaled(L).exponents
-    d = e1 - c2.rescaled(L).exponents
+    c1, c2 = unify_root_orders(c1, c2)
+    L = c1.m
+    d = c1.exponents - c2.exponents
     d %= L
     bad = cocycle_violations(d, L, group)
     if bad:
         raise CocycleViolation(f"c1 / c2 is not a normalized cocycle, first: {bad[0]}", bad)
     S = group.generators
     a, b = _tree_coordinates(group, d, L)
-    st = group.mul[S]
-    A = (np.eye(len(S), dtype=np.int64)[:, None] + a - a[st]).reshape(-1, len(S))
-    z = solve_mod(A, (d[S] - b + b[st]).ravel(), L)
+    A = _coboundary(a, group.mul, S).reshape(-1, len(S))
+    z = solve_mod(A, (d[S] - _coboundary(b, group.mul, S)).ravel(), L)
     if z is None:
         return None
     # each term is below L^2, so the sum stays inside solve_mod's int64 bound
     xi = CoboundaryWitness(group, L, (a % L) @ z + b)
-    if not np.array_equal(similarity_apply(c2, xi).exponents, e1):
+    if not np.array_equal(similarity_apply(c2, xi).exponents, c1.exponents):
         raise CertificateError("coboundary witness does not map c2 onto c1")
     return xi
 
@@ -315,10 +326,10 @@ def cocycle_to_json(c: Cocycle) -> dict:
 def cocycle_from_json(doc: dict, group: Optional[FiniteGroup] = None,
                       base_dir: Optional[Path] = None) -> Cocycle:
     group = grp.file_group(doc, group, base_dir)
-    m, table = grp.integer_entries(doc.get("m")), grp.integer_entries(doc.get("exponents"))
-    if m is None or m.ndim or table is None:
-        raise ValueError("cocycle m must be an integer and exponents a table of integers")
-    return validate_cocycle(table, int(m), group)
+    table = grp.integer_entries(doc.get("exponents"))
+    if table is None:
+        raise ValueError("cocycle exponents must be a table of integers")
+    return validate_cocycle(table, doc.get("m"), group)
 
 
 def save_cocycle(c: Cocycle, path) -> None:

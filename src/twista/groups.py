@@ -156,13 +156,14 @@ def integer_entries(x) -> Optional[np.ndarray]:
     """x as an int64 array when every entry is an integer, else None.
 
     A whole float such as 2.0 counts; 2.9, null, strings and integers past
-    int64 do not.  The one integrality rule of the file loaders: Cayley
-    table entries, the declared group order, cocycle m and exponents.
+    int64 do not.  The one integrality rule of tables: Cayley table entries,
+    the declared group order and cocycle exponents.  An int64 array is
+    returned as it is, not copied.
     """
     a = np.asarray(x)
     try:
         with np.errstate(invalid="ignore"):
-            as_int = a.astype(np.int64)
+            as_int = a.astype(np.int64, copy=False)
     except (TypeError, ValueError, OverflowError):
         return None
     return as_int if np.array_equal(as_int, a) else None

@@ -166,6 +166,7 @@ def test_group_validate_reports_a_ragged_table(workdir):
     {"m": None, "exponents": [[0, 0], [0, 0]]},
     {"exponents": [[0, 0], [0, 0]]},
     [[0, 0], [0, 0]],
+    {"m": "4", "exponents": [[0, 0], [0, 0]]},
 ])
 def test_cocycle_validate_writes_every_refusal(workdir, doc):
     # m = 2.5 and the exponent 1.9 are refused, not read as 2 and 1, and
@@ -248,16 +249,26 @@ def _z2_cocycle(workdir, name, m, e11):
 
 @pytest.mark.parametrize("action", ["validate", "normalize"])
 def test_a_root_order_beyond_2_61_is_unsupported(workdir, capsys, action):
-    # the file's m = 2^62 fits int64, but sums of exponents below it do not
-    gpath, sig = _z2_cocycle(workdir, "big", 1 << 62, 1 << 61)
+    # the file's m = 2^62 fits int64, but sums of exponents below it do not;
+    # 2^63 and 2^64 are past int64 and reach the same bound, not a type error
+    for m in (1 << 62, 1 << 63, 1 << 64):
+        gpath, sig = _z2_cocycle(workdir, "big", m, 1 << 61)
+        out = workdir / "out.json"
+        out.unlink(missing_ok=True)
+        assert run(["cocycle", action, "--in", sig, "--group", gpath, "-o", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"unsupported size: root order {m} ") and "Traceback" not in err
+        if action == "validate":
+            assert json.loads(out.read_text())["ok"] is False
+        else:
+            assert not out.exists()
+
+
+def test_a_whole_float_root_order_is_read_as_an_integer(workdir):
+    gpath, sig = _z2_cocycle(workdir, "float", 4.0, 2)
     out = workdir / "out.json"
-    assert run(["cocycle", action, "--in", sig, "--group", gpath, "-o", out]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("unsupported size: root order") and "Traceback" not in err
-    if action == "validate":
-        assert json.loads(out.read_text())["ok"] is False
-    else:
-        assert not out.exists()
+    assert run(["cocycle", "validate", "--in", sig, "--group", gpath, "-o", out]) == 0
+    assert json.loads(out.read_text()) == {"ok": True, "m": 4}
 
 
 def test_normalize_refuses_the_doubled_root_order(workdir, capsys):

@@ -55,6 +55,14 @@ def test_normalization_row_violation():
     assert any(v[0] == "normalization" for v in exc.value.violations)
 
 
+@pytest.mark.parametrize("entry", [1.5, 1 << 64])
+def test_non_integer_entries_are_refused_not_truncated(entry):
+    # the integrality rule of groups.validate_table, not a cast to int64
+    with pytest.raises(CocycleViolation) as exc:
+        tw.validate_cocycle([[0, 0], [0, entry]], 2, tw.cyclic(2))
+    assert exc.value.violations == [("non-integer entries",)]
+
+
 def test_identity_violation_reports_triples():
     g = tw.cyclic(3)
     table = np.zeros((3, 3), dtype=int)
@@ -383,6 +391,20 @@ def test_witness_rescaled_at_its_own_order_is_itself():
     xi = tw.CoboundaryWitness(g, 4, [0, 1, 2, 3])
     assert xi.rescaled(4) is xi
     assert np.array_equal(xi.rescaled(8).xi, [0, 2, 4, 6])
+    assert type(xi.rescaled(8)) is tw.CoboundaryWitness
+
+
+def test_coboundary_is_the_double_loop():
+    from twista.cocycles import _coboundary
+    g = tw.symmetric(4)
+    n, S = g.order, g.generators
+    x = np.random.default_rng(3).integers(0, 12, n)
+    a, _ = g.cayley_tree
+    # a 1-D witness on every row, and the 2-D tree coordinates on the rows S
+    for y, rows, got in ((x, range(n), _coboundary(x, g.mul)),
+                         (a, S, _coboundary(a, g.mul, S))):
+        want = np.array([[y[s] + y[t] - y[g.mul[s, t]] for t in range(n)] for s in rows])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_generating_set_runs_once_per_group(monkeypatch):
@@ -475,8 +497,9 @@ def test_root_orders_past_2_61_are_refused_before_their_arithmetic():
     g = tw.cyclic(2)
     edge = tw.validate_cocycle([[0, 0], [0, 1 << 60]], 1 << 61, g)
     assert edge.m == cocycles.MAX_ROOT_ORDER == 1 << 61
-    with pytest.raises(tw.UnsupportedSize, match="root order"):
-        tw.validate_cocycle([[0, 0], [0, 1 << 61]], 1 << 62, g)
+    for m in (1 << 62, 1 << 63, 1 << 64):
+        with pytest.raises(tw.UnsupportedSize, match=f"root order {m} "):
+            tw.validate_cocycle([[0, 0], [0, 1 << 61]], m, g)
     with pytest.raises(tw.UnsupportedSize, match="root order"):
         tw.normalize_cocycle(edge)              # doubles m to 2^62
     a = tw.validate_cocycle([[0, 0], [0, 1 << 39]], 1 << 40, g)

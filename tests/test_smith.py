@@ -179,3 +179,15 @@ def test_echelon_on_the_s5_coboundary_system_is_bit_identical(monkeypatch):
     (A, b, m), = systems
     assert A.shape == (600, 5)
     assert _same_reduction(A, b, m)
+    # the system is bitwise the explicit tree formula: with d = c1 - c2 and
+    # xi = a z + b on the Cayley tree, row (s, t) reads xi(s) + xi(t) - xi(st)
+    d, (a, levels), S = twisted.exponents, g.cayley_tree, g.generators
+    rhs = np.zeros(g.order, dtype=np.int64)
+    for h, j, t in levels:
+        rhs[h] = (rhs[t] - d[S[j], t]) % m
+    st = g.mul[S]
+    want_A = (np.eye(len(S), dtype=np.int64)[:, None] + a - a[st]).reshape(-1, len(S))
+    want_b = (d[S] - rhs + rhs[st]).ravel()
+    assert m == twisted.m == 6
+    assert A.dtype == b.dtype == np.int64
+    assert np.array_equal(A, want_A) and np.array_equal(b, want_b)

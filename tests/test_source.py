@@ -288,6 +288,63 @@ def test_rounding_shrink_is_applied_only_by_the_two_witness_rules():
     assert found == {"littlewood._dual_feasible", "sdp._dual_trace_bound"}, found
 
 
+def test_a_common_root_order_is_formed_only_by_unify_root_orders():
+    # bilinear_cocycle's lcm is of its factor orders, not of two root orders
+    found = _owners_of(lambda node: isinstance(node, ast.Call) and "lcm" in
+                       (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert found == {"cocycles.unify_root_orders", "cocycles.bilinear_cocycle"}, found
+
+
+def _signed_terms(node, sign=1):
+    # the operands of a chain of + and -, each with its sign
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        flip = -1 if isinstance(node.op, ast.Sub) else 1
+        return _signed_terms(node.left, sign) + _signed_terms(node.right, sign * flip)
+    return [(sign, node)]
+
+
+def _root(node):
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return ast.unparse(node)
+
+
+def _forms_a_coboundary(fn):
+    # x[... mul ...] with the opposite sign to another term of the same x, as
+    # in x(s) + x(t) - x(st); a local name assigned from mul counts as mul
+    local = {t.id: node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+
+    def mentions_mul(expr, depth=0):
+        return depth < 4 and any(
+            getattr(sub, "attr", None) == "mul" or getattr(sub, "id", None) == "mul"
+            or (isinstance(sub, ast.Name) and sub.id in local
+                and mentions_mul(local[sub.id], depth + 1))
+            for sub in ast.walk(expr))
+
+    def forms(node):
+        terms = _signed_terms(node)
+        return len(terms) > 2 and any(
+            isinstance(term, ast.Subscript) and mentions_mul(term.slice)
+            and any(other is not term and _root(other) == _root(term) and sign2 == -sign
+                    for sign2, other in terms)
+            for sign, term in terms)
+    return forms
+
+
+def test_the_coboundary_is_formed_only_by_one_helper():
+    # delta x(s, t) = x(s) + x(t) - x(st) is written once, in cocycles._coboundary
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                forms = _forms_a_coboundary(fn)
+                found |= {f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.BinOp) and forms(node)}
+    assert found == {"cocycles._coboundary"}, found
+
+
 def _width_against_tolerance(node) -> bool:
     # `a - b` or a `gap` compared with an operand that reads `tol`
     if not isinstance(node, ast.Compare):
